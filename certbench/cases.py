@@ -211,9 +211,7 @@ def draw_weights(rng: random.Random, descending: bool = False) -> tuple[Fraction
             return p, q
 
 
-# seeded pairs per chain size: two on the hexagon, so that the exact
-# workload's latency median falls inside the group of four hexagon cases
-# (about 40 ms alone) instead of between groups of faster and slower cases
+# seeded pairs per chain size, two on the hexagon
 CHAIN_PAIRS = ((3, "a"), (4, "a"), (5, "a"), (6, "a"), (6, "b"))
 
 
@@ -321,9 +319,9 @@ def workload(name: str, seed: int) -> list[Case]:
     Each workload draws from its own stream of the seed."""
     rng = random.Random(f"{name}:{seed}")
     if name == "exact":
-        # the seeded cases alternate with the fixed ones, so that the cases
-        # around the latency median are timed at different moments of the
-        # round, on either side of the long pentagon_diagonal_convex
+        # the seeded cases alternate with the fixed ones, so that cases of
+        # both kinds are timed on either side of the long
+        # pentagon_diagonal_convex
         chains = chain_cases(rng)
         order = []
         for i, fixed in enumerate(suite_exact()):

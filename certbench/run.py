@@ -26,6 +26,7 @@ import time
 
 import cases as casegen
 from check import Answer, answer_from_document, answer_from_result, check
+from speed import Speedometer
 from tracing import Tracer, layer_metrics, replace_everywhere, write_spans
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -260,6 +261,8 @@ def main() -> int:
 
     tracer = Tracer() if args.trace else None
     plain, traced = [], []          # (wall, rows, layers) per round
+    speed = Speedometer()
+    speed.start()
     start = time.perf_counter()
     try:
         # whole rounds; a round starts only if, at the pace so far, it ends
@@ -272,6 +275,7 @@ def main() -> int:
             if elapsed * (len(plain) + 1) / len(plain) > args.seconds:
                 break
     finally:
+        speed.stop()
         runner.close()
     peak_rss_mb = runner.peak_rss_mb()
 
@@ -295,6 +299,8 @@ def main() -> int:
     if runner.traced_spans:
         write_spans(os.path.join(OUT, f"trace-{args.workload}-{args.seed}.tsv.gz"),
                     runner.traced_spans)
+    # every time is reported in reference seconds (see speed.py)
+    factor = speed.factor()
     if tracer is not None:
         layers = {}
         for name in traced[0][2]:
@@ -302,22 +308,34 @@ def main() -> int:
         layers["trace.overhead_ratio"] = (
             statistics.median(t[0] for t in traced)
             / statistics.median(p[0] for p in plain))
-        metrics = {name: {"value": v, "unit": layer_unit(name)}
-                   for name, v in layers.items()}
+        metrics = {}
+        for name, v in layers.items():
+            unit = layer_unit(name)
+            metrics[name] = {"value": v * factor if unit in ("s", "us") else v,
+                             "unit": unit}
     else:
-        metrics = {
-            "setup_s": {"value": setup_s, "unit": "s"},
-            "solve_s": {"value": statistics.median(p[0] for p in plain), "unit": "s"},
-            "compare_p50_s": {"value": statistics.median(
-                row[2] for p in plain for row in p[1]), "unit": "s"},
-            "boxes": {"value": boxes[0], "unit": "count"},
-            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+        wall = {
+            "setup_s": setup_s,
+            "solve_s": statistics.fmean(p[0] for p in plain),
+            "compare_mean_s": statistics.fmean(row[2] for p in plain for row in p[1]),
         }
+        metrics = {name: {"value": v * factor, "unit": "s"} for name, v in wall.items()}
+        metrics["boxes"] = {"value": boxes[0], "unit": "count"}
+        metrics["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
+        print("wall seconds: " + " ".join(f"{k} {v:.4f}" for k, v in wall.items()),
+              file=sys.stderr)
+    print(f"speed factor {factor:.4f} over {len(speed.slowness)} slices; slowness "
+          + " ".join(f"{x:.2f}" for x in speed.slowness), file=sys.stderr)
     print("round seconds: " + " ".join(f"{p[0]:.3f}" for p in plain)
           + (" | traced: " + " ".join(f"{t[0]:.3f}" for t in traced) if traced else ""),
           file=sys.stderr)
-    for case, answer, latency, box in plain[0][1]:
-        print(f"{case.name:48s} {latency:8.3f} s {box:7d} boxes", file=sys.stderr)
+    per_case: dict[str, list] = {}
+    for _wall, rows, _layers in plain:
+        for case, _answer, latency, box in rows:
+            per_case.setdefault(case.name, [box]).append(latency)
+    for name, (box, *latencies) in per_case.items():
+        print(f"{name:48s} {statistics.median(latencies):8.3f} s {box:7d} boxes  "
+              + " ".join(f"{x:.4f}" for x in latencies), file=sys.stderr)
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0

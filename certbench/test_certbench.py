@@ -153,3 +153,15 @@ def test_generator_is_a_function_of_the_seed(wl):
     assert workload(wl, 11) == workload(wl, 11)
     if wl != "service":             # a fixed mix
         assert [c.gct for c in workload(wl, 11)] != [c.gct for c in workload(wl, 12)]
+
+
+def test_speed_kernel_does_fixed_work():
+    import speed
+    assert ({name: part() for name, part in speed.PARTS.items()}
+            == {name: part() for name, part in speed.PARTS.items()})
+    meter = speed.Speedometer()
+    meter.start()
+    meter.stop()
+    # the first slice runs at once, whenever the meter is stopped
+    assert len(meter.slowness) == 1 and meter.slowness[0] > 0
+    assert meter.factor() == 1 / meter.slowness[0]
