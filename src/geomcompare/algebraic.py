@@ -3,6 +3,14 @@ refinement, radical rendering for low-degree constants, decimal output.
 
 A root is carried as (squarefree defining polynomial, isolating interval);
 rational roots are extracted exactly first so they print as rationals.
+After squarefree and primitive-integer normalisation a rational root p/q
+in lowest terms has q | an (the leading coefficient), so an*r is an
+integer. Degree 1 gives the root -c0/c1; degree 2 has rational roots
+exactly when its discriminant is a perfect square, (-c1 +- s)/(2 an);
+a higher degree is Sturm-isolated, each interval narrowed below 1/an and
+the one multiple of 1/an inside it tested exactly. The search is
+complete and its cost does not depend on factoring any coefficient. The
+rational roots are deflated out and the rest isolated by Sturm bisection.
 """
 
 from __future__ import annotations
@@ -126,22 +134,62 @@ def _primitive_integer(c: Coeffs) -> Coeffs:
         out = [-x for x in out]
     return out
 
-def _divisors(n: int, cap: int = 20_000) -> list[int]:
-    """Divisors found by trial division up to `cap` (with cofactors); for
-    larger factors the rational-root search simply falls back to treating
-    the root as irrational, which is still a correct isolation."""
-    n = abs(n)
-    if n == 0:
-        return [1]
-    small, big = [], []
-    i = 1
-    while i * i <= n and i <= cap:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                big.append(n // i)
-        i += 1
-    return small + big[::-1]
+def _sturm_intervals(c: Coeffs) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (a, b], each holding exactly one root of the squarefree
+    `c`, by bisection of the Cauchy interval on Sturm counts."""
+    chain = _sturm_chain(c)
+    bound = Fraction(1) + max(abs(x) for x in c[:-1]) / abs(c[-1]) \
+        if len(c) > 1 else Fraction(1)
+    total = _variations_inf(chain, False) - _variations_inf(chain, True)
+    stack = [(-bound, bound)]
+    intervals: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        a, b = stack.pop()
+        n = _variations(chain, a) - _variations(chain, b)
+        if n == 0:
+            continue
+        if n == 1:
+            intervals.append((a, b))
+            continue
+        mid = (a + b) / 2
+        # a root at mid is counted once, in (a, mid]
+        stack.append((a, mid))
+        stack.append((mid, b))
+    assert len(intervals) == total or total == 0
+    return intervals
+
+def _rational_roots(c: Coeffs) -> list[Fraction]:
+    """Every rational root of a squarefree primitive integer polynomial
+    with c[0] != 0. A root p/q in lowest terms has q | an, so it is a
+    multiple of 1/an: degrees 1 and 2 have closed forms; otherwise each
+    Sturm interval is narrowed below 1/an and its one candidate tested."""
+    if _degree(c) == 1:
+        return [-c[0] / c[1]]
+    if _degree(c) == 2:
+        s = _is_square(c[1] * c[1] - 4 * c[2] * c[0])
+        if s is None:
+            return []
+        return [(-c[1] - s) / (2 * c[2]), (-c[1] + s) / (2 * c[2])]
+    an = int(c[-1])
+    step = Fraction(1, an)
+    found: list[Fraction] = []
+    for a, b in _sturm_intervals(c):
+        # the one root lies in (a, b]; keep it there, bisecting on signs
+        fb = _eval(c, b)
+        while fb and b - a >= step:
+            mid = (a + b) / 2
+            fmid = _eval(c, mid)
+            if fmid == 0 or (fmid > 0) == (fb > 0):
+                b, fb = mid, fmid
+            else:
+                a = mid
+        if fb == 0:
+            found.append(b)
+            continue
+        k = math.floor(b * an)
+        if k > a * an and _eval(c, Fraction(k, an)) == 0:
+            found.append(Fraction(k, an))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -229,50 +277,18 @@ def isolate_real_roots(p: Polynomial) -> list[AlgebraicNumber]:
         roots.append(AlgebraicNumber(poly_from_univariate([0, 1], name),
                                      Interval.point(0), 0))
 
-    # rational roots (rational-root theorem), deflated out one by one
-    changed = True
-    while changed and _degree(coeffs) >= 1:
-        changed = False
-        a0, an = coeffs[0], coeffs[-1]
-        for pnum in _divisors(int(a0)):
-            for qden in _divisors(int(an)):
-                for s in (1, -1):
-                    r = Fraction(s * pnum, qden)
-                    if _eval(coeffs, r) == 0:
-                        roots.append(AlgebraicNumber(
-                            _normalized_linear(r, name), Interval.point(r), _sign_of(r)))
-                        coeffs, _ = _divmod_exact(coeffs, [-r, Fraction(1)])
-                        coeffs = _primitive_integer(coeffs)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    # rational roots, exact, deflated out
+    rational = _rational_roots(coeffs) if _degree(coeffs) >= 1 else []
+    for r in rational:
+        roots.append(AlgebraicNumber(
+            _normalized_linear(r, name), Interval.point(r), _sign_of(r)))
+        coeffs, _ = _divmod_exact(coeffs, [-r, Fraction(1)])
+        coeffs = _primitive_integer(coeffs)
 
     # irrational roots via Sturm bisection
     if _degree(coeffs) >= 1:
         minpoly = poly_from_univariate(coeffs, name)
-        chain = _sturm_chain(coeffs)
-        bound = Fraction(1) + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1]) \
-            if len(coeffs) > 1 else Fraction(1)
-        total = _variations_inf(chain, False) - _variations_inf(chain, True)
-        stack = [(-bound, bound)]
-        intervals: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            a, b = stack.pop()
-            n = _variations(chain, a) - _variations(chain, b)
-            if n == 0:
-                continue
-            if n == 1:
-                intervals.append((a, b))
-                continue
-            mid = (a + b) / 2
-            # endpoints are never roots: no rational roots remain
-            stack.append((a, mid))
-            stack.append((mid, b))
-        assert len(intervals) == total or total == 0
-        for a, b in intervals:
+        for a, b in _sturm_intervals(coeffs):
             alg = AlgebraicNumber(minpoly, Interval(a, b), 0)
             # exclude already-found rational points and determine the sign
             for r in [x.isolating.lo for x in roots]:

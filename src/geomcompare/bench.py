@@ -14,7 +14,7 @@ from .construction import GctError, parse_construction
 from .pipeline import CompareConfig, compare_source, render_compare_text
 
 CSV_COLUMNS = ["name", "variant", "result", "ms_parse", "ms_algebraize",
-               "ms_delin", "ms_eliminate", "ms_bounds", "status"]
+               "ms_presolve", "ms_eliminate", "ms_bounds", "status"]
 
 
 @dataclass

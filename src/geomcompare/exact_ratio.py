@@ -5,6 +5,7 @@ an exact algebraic number with an optional radical rendering.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,23 +93,17 @@ def _integer_normalized(p: Polynomial) -> Polynomial:
     coeffs = p.univariate_coeffs("m")
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     scaled = [c * den for c in coeffs]
     g = 0
     for c in scaled:
-        g = _gcd(g, abs(int(c)))
+        g = math.gcd(g, abs(int(c)))
     g = g or 1
     from .polynomials import poly_from_univariate
     out = [c / g for c in scaled]
     if out[-1] < 0:
         out = [-c for c in out]
     return poly_from_univariate(out, "m")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_mu(p: Polynomial) -> ExactRatioResult:

@@ -50,17 +50,6 @@ def _value_interval(v: Value, precision: Fraction) -> Interval:
     return Interval.point(Fraction(v))
 
 
-def sqrt_value(radicand: Fraction, sign: int = 1) -> Callable[[Fraction], Interval]:
-    """An exact sqrt(r) (or -sqrt(r)) as a refinable value."""
-    radicand = Fraction(radicand)
-
-    def closure(precision: Fraction) -> Interval:
-        iv = sqrt_interval(Interval.point(radicand), precision)
-        return iv if sign >= 0 else -iv
-
-    return closure
-
-
 # chain branch: (cos root index ascending, sin sign)
 Branches = dict[int, tuple[int, int]]
 

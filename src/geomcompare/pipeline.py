@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebraic import approx_decimal
-from .bounds import BoundsResult, SideResult, branch_and_bound, compile_charts
+from .bounds import BoundsResult, CompileError, SideResult, branch_and_bound, compile_charts
 from .construction import (
     ConstructionProgram,
     DegreeMismatchError,
@@ -151,7 +151,7 @@ def compare(prog: ConstructionProgram, config: Optional[CompareConfig] = None,
     bres = _run_bounds(t, config, deadline)
     timings["bounds"] = 1000 * (time.monotonic() - t0)
     if bres is None:
-        result.reason = "timeout"
+        result.reason = "compile-error"
         return result
     result.variant = "bounds"
     result.bounds = bres
@@ -164,9 +164,10 @@ def compare(prog: ConstructionProgram, config: Optional[CompareConfig] = None,
 
 def _run_bounds(t: Translation, config: CompareConfig,
                 deadline: float) -> Optional[BoundsResult]:
+    """The bounds search, or None when the problem does not compile."""
     try:
         charts = compile_charts(t)
-    except Exception:
+    except CompileError:
         return None
     return branch_and_bound(charts, config.tol, deadline)
 

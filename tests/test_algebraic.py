@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -182,3 +183,83 @@ def test_isolating_endpoint_signs():
                 assert lo == 0 or hi == 0
             else:
                 assert (lo > 0) != (hi > 0)
+
+
+# -- rational roots --------------------------------------------------------------
+
+def _product(*factors):
+    out = [Fraction(1)]
+    for f in factors:
+        nxt = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                nxt[i + j] += x * Fraction(y)
+        out = nxt
+    return out
+
+
+def test_rational_roots_with_large_divisors():
+    # both divisors of each factor exceed 20,000, as do their cofactors
+    p = U(_product([-30011, 40009], [-30013, 40013], [-2, 0, 1]), "x")
+    roots = isolate_real_roots(p)
+    assert len(roots) == 4
+    points = [r.rational_value() for r in roots if r.is_rational()]
+    assert sorted(points) == [Fraction(30013, 40013), Fraction(30011, 40009)]
+    surds = [r for r in roots if not r.is_rational()]
+    assert all(r.minpoly == U([-2, 0, 1], "x") for r in surds)
+    assert [r.sign for r in surds] == [-1, 1]
+    assert [to_radical(r).render() for r in surds] == ["-sqrt(2)", "sqrt(2)"]
+
+
+def test_rational_root_degree_one():
+    root, = isolate_real_roots(U([30011, -40009], "x"))
+    assert root.rational_value() == Fraction(30011, 40009)
+    assert root.minpoly == U([-30011, 40009], "x")
+    assert root.sign == 1
+
+
+def test_rational_roots_degree_two_square_discriminant():
+    # (40009x - 30011)(7x + 123456): discriminant is a perfect square
+    roots = isolate_real_roots(U(_product([-30011, 40009], [123456, 7]), "x"))
+    assert [r.rational_value() for r in roots] == \
+        [Fraction(-123456, 7), Fraction(30011, 40009)]
+    assert [r.sign for r in roots] == [-1, 1]
+
+
+def test_irrational_roots_degree_two_nonsquare_discriminant():
+    # 40009x^2 - 30011: discriminant 4*40009*30011 is not a square
+    roots = isolate_real_roots(U([-30011, 0, 40009], "x"))
+    assert len(roots) == 2
+    assert not any(r.is_rational() for r in roots)
+    assert all(r.minpoly == U([-30011, 0, 40009], "x") for r in roots)
+    assert isolate_real_roots(U([1, 1, 1], "x")) == []
+
+
+def _sign_at(c, x):
+    v = sum(co * x ** i for i, co in enumerate(c))
+    return (v > 0) - (v < 0)
+
+
+def test_rational_roots_of_random_products_found_exactly():
+    rng = random.Random(4501)
+    for _ in range(40):
+        points = set()
+        while len(points) < rng.randint(1, 3):
+            points.add(Fraction(rng.randint(-10 ** 5, 10 ** 5), rng.randint(1, 10 ** 5)))
+        factors = [[-r.numerator, r.denominator] for r in points]
+        k = rng.choice([n for n in range(2, 200) if math.isqrt(n) ** 2 != n])
+        shift = rng.randint(-5, 5)
+        # (x - shift)^2 - k: two irrational roots
+        factors.append([shift * shift - k, -2 * shift, 1])
+        rng.shuffle(factors)
+        p = U(_product(*factors), "x")
+        roots = isolate_real_roots(p)
+        assert len(roots) == count_real_roots(p) == len(points) + 2
+        exact = [r.rational_value() for r in roots if r.is_rational()]
+        assert sorted(exact) == sorted(points)
+        for r in roots:
+            if r.is_rational():
+                continue
+            c = r.minpoly.univariate_coeffs(r.var)
+            assert len(c) == 3
+            assert _sign_at(c, r.isolating.lo) * _sign_at(c, r.isolating.hi) == -1

@@ -68,3 +68,29 @@ def test_pentagon_convex_auto_reports_single_candidate():
 def test_eq_mode_on_varying_ratio_is_inconclusive():
     _, result = _run("medians", timeout=4.0, mode="eq")
     assert result.variant == "inconclusive"
+
+
+def test_compile_crash_is_not_reported_as_timeout(monkeypatch):
+    import geomcompare.pipeline as pipeline
+
+    def crash(t):
+        raise RuntimeError("bug in chart compilation")
+
+    monkeypatch.setattr(pipeline, "compile_charts", crash)
+    src = open("benchmarks/pythagoras_relaxed.gct").read()
+    with pytest.raises(RuntimeError, match="bug in chart compilation"):
+        compare_source(src, CompareConfig(timeout=10.0, mode="bounds"))
+
+
+def test_compile_error_is_reported_as_compile_error(monkeypatch):
+    import geomcompare.pipeline as pipeline
+    from geomcompare.bounds import CompileError
+
+    def refuse(t):
+        raise CompileError("no statement and no explicit objective")
+
+    monkeypatch.setattr(pipeline, "compile_charts", refuse)
+    src = open("benchmarks/pythagoras_relaxed.gct").read()
+    result = compare_source(src, CompareConfig(timeout=10.0, mode="bounds"))
+    assert result.variant == "inconclusive"
+    assert result.reason == "compile-error"
