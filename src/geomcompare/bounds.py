@@ -25,6 +25,7 @@ from typing import Callable, Optional, Union
 from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radical
 from .construction import Translation
 from .float_intervals import FI, INF, CompiledPoly, down, up
+from .instantiate import DegenerateInstance, ExactVal, exact_interval, solve_for
 from .intervals import Interval, eval_poly_interval, sqrt_interval
 from .polynomials import Polynomial, poly_from_univariate
 
@@ -908,22 +909,11 @@ def _narrow_univariate(parts: dict[int, CompiledPoly], env: list[FI]):
 # witnesses
 # ---------------------------------------------------------------------------
 
-ExactVal = Union[Fraction, AlgebraicNumber, Callable[[Fraction], Interval]]
-
-
 @dataclass
 class Witness:
     ratio: Interval              # exact rational enclosure of the achieved ratio
     margin: float                # distance from the nondegeneracy boundary
     values: dict[str, ExactVal]
-
-
-def _exact_interval(v: ExactVal, precision: Fraction) -> Interval:
-    if isinstance(v, AlgebraicNumber):
-        return v.refined(precision).isolating
-    if callable(v):
-        return v(precision)
-    return Interval.point(v)
 
 
 _WITNESS_WINDOWS = ((1, 3), (5, 7), (1, 7), (0, 1), (7, 8))  # eighths
@@ -1004,22 +994,16 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
         poly, target = pending.pop(0)
         others = [v for v in poly.support() if v != target]
         if all(isinstance(values.get(v), Fraction) for v in others):
-            inst = poly
-            for v in others:
-                inst = inst.substitute(v, Polynomial.constant(values[v], inst.vars))
-            if inst.is_zero():
+            roots = solve_for(poly, target, values)
+            if roots is None:
                 values[target] = _simple_point_in(x_ranges[target], bias)
                 continue
-            if inst.is_constant():
-                return None
-            roots = isolate_real_roots(inst.restrict([target]))
             inside = [r for r in roots
-                      if r.refined(Fraction(1, 2 ** 40)).isolating.intersects(
+                      if exact_interval(r, Fraction(1, 2 ** 40)).intersects(
                           x_ranges[target])]
             if not inside:
                 return None
-            pick = inside[len(inside) // 2]
-            values[target] = pick.rational_value() if pick.is_rational() else pick
+            values[target] = inside[len(inside) // 2]
             continue
         if all(v in values for v in others):
             # quadratic-in-target with algebraic dependencies: target^2 = Q
@@ -1029,7 +1013,7 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
                 q = parts.get(0, Polynomial.zero(poly.vars)) * (-1 / c)
 
                 def closure(precision: Fraction, q=q, rng=x_ranges[target]):
-                    envq = {v: _exact_interval(values[v], precision)
+                    envq = {v: exact_interval(values[v], precision)
                             for v in q.support()}
                     body = sqrt_interval(eval_poly_interval(q, envq), precision)
                     return body if rng.hi > 0 else -body
@@ -1038,7 +1022,7 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
                 continue
             try:
                 root = _bracket_root(poly, target, dict(values), x_ranges[target])
-            except DegenerateWitness:
+            except DegenerateInstance:
                 return None
             if root is None:
                 return None
@@ -1048,7 +1032,7 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
     fill_defs()
     try:
         return _evaluate_witness(problem, values, goal)
-    except DegenerateWitness:
+    except DegenerateInstance:
         return None
 
 
@@ -1071,25 +1055,21 @@ def _def_value(d: Def, values: dict[str, ExactVal]):
 
     if isinstance(d, SqrtDef):
         def closure(precision: Fraction, d=d, snapshot=snapshot) -> Interval:
-            env = {v: _exact_interval(x, precision) for v, x in snapshot.items()}
+            env = {v: exact_interval(x, precision) for v, x in snapshot.items()}
             return sqrt_interval(eval_poly_interval(d.radicand, env), precision)
         return closure
 
     def closure(precision: Fraction, d=d, snapshot=snapshot) -> Interval:
-        env = {v: _exact_interval(x, precision) for v, x in snapshot.items()}
+        env = {v: exact_interval(x, precision) for v, x in snapshot.items()}
         num = eval_poly_interval(d.num, env)
         den = eval_poly_interval(d.den, env)
         if den.lo <= 0 <= den.hi:
             if num.lo == 0 == num.hi:
                 return Interval.point(0)
-            raise DegenerateWitness("division by vanishing denominator")
+            raise DegenerateInstance("division by vanishing denominator")
         return num / den
 
     return closure
-
-
-class DegenerateWitness(ArithmeticError):
-    pass
 
 
 def _bracket_root(poly: Polynomial, target: str, deps: dict[str, ExactVal],
@@ -1099,7 +1079,7 @@ def _bracket_root(poly: Polynomial, target: str, deps: dict[str, ExactVal],
     change by sampling, then bisect on demand."""
 
     def sign_at(t: Fraction, precision: Fraction) -> int:
-        env = {v: _exact_interval(x, precision) for v, x in deps.items()}
+        env = {v: exact_interval(x, precision) for v, x in deps.items()}
         env[target] = Interval.point(t)
         iv = eval_poly_interval(poly, env)
         if iv.lo > 0:
@@ -1160,7 +1140,7 @@ def _evaluate_witness(problem: BoundProblem, values: dict[str, ExactVal],
         env: dict[str, Interval] = {}
         ok = True
         for var, v in values.items():
-            env[var] = _exact_interval(v, precision)
+            env[var] = exact_interval(v, precision)
         for d in problem.defs:
             if isinstance(d, SqrtDef):
                 rad = eval_poly_interval(d.radicand, env)
@@ -1435,9 +1415,7 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
         last_key = k
         boxes += 1
         gap = incumbent - k
-        if gap <= hard_goal:
-            break
-        if k >= incumbent - hard_goal / 4:
+        if not gap > hard_goal:      # also stops on a NaN gap (k = incumbent = inf)
             break
         if gap <= tol:
             # a small rational already pinned inside the enclosure will not

@@ -23,11 +23,11 @@ from .instantiate import (
     Branches,
     DegenerateInstance,
     evaluate_figure,
+    figure_with_statement,
     sample_configuration,
 )
 from .intervals import Interval
 from .polynomials import BuchbergerLimits, Polynomial, eliminate
-from .construction import RegularChain
 
 
 class NoPositiveRootError(ValueError):
@@ -120,36 +120,32 @@ def solve_mu(p: Polynomial) -> ExactRatioResult:
 
 def ratio_sample(t: Translation, rng: random.Random,
                  branches: Optional[Branches] = None,
-                 precision: Fraction = Fraction(1, 2 ** 96)) -> Interval:
-    """Ratio of the compared quantities at a random feasible configuration."""
-    for _ in range(16):
-        try:
-            coords, br = sample_configuration(t, rng, branches=branches)
-            fig = evaluate_figure(t, coords, br, precision)
-            return fig.ratio(t)
-        except DegenerateInstance:
-            continue
-    raise DegenerateInstance("sampling kept hitting degenerate instances")
+                 precision: Fraction = Fraction(1, 2 ** 96),
+                 ) -> tuple[Interval, Branches]:
+    """Ratio of the compared quantities at a random feasible configuration,
+    and the chain branches of that configuration."""
+    coords, br = sample_configuration(t, rng, branches=branches)
+    fig = evaluate_figure(t, coords, br, precision)
+    return figure_with_statement(t, fig)["m"], br
 
 
 def constant_ratio_evidence(t: Translation, rng: random.Random,
                             samples: int = 3) -> Optional[tuple[Interval, Interval]]:
     """Two instantiations with a fixed branch choice whose ratios differ by
     more than 1e-6, or None when every sampled pair agrees (suggesting a
-    constant ratio per branch). Used to justify skipping elimination."""
+    constant ratio per branch). Used to justify skipping elimination. The
+    branches are those of the first configuration sampled."""
     threshold = Fraction(1, 10 ** 6)
-    branches: Branches = {}
-    for idx, step in enumerate(t.program.steps):
-        if isinstance(step, RegularChain):
-            branches[idx] = (0, 1)
     if not _has_free_coordinates(t):
         return None
+    branches: Optional[Branches] = None
     ratios: list[Interval] = []
     for _ in range(samples):
         try:
-            ratios.append(ratio_sample(t, rng, branches=dict(branches)))
+            ratio, branches = ratio_sample(t, rng, branches=branches)
         except DegenerateInstance:
             continue
+        ratios.append(ratio)
     for i in range(len(ratios)):
         for j in range(i + 1, len(ratios)):
             a, b = ratios[i], ratios[j]
@@ -180,7 +176,7 @@ def numeric_crosscheck(result: ExactRatioResult, t: Translation, trials: int,
     witnessed = [False] * len(result.candidates)
     for _ in range(trials):
         try:
-            ratio = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
+            ratio = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))[0]
         except DegenerateInstance:
             continue
         for i, cand in enumerate(refined):
@@ -199,13 +195,3 @@ def _close(a: Interval, b: Interval, tol: Fraction) -> bool:
     gap = max(b.lo - a.hi, a.lo - b.hi, Fraction(0))
     return gap <= tol
 
-
-def crosscheck_at(result: ExactRatioResult, t: Translation,
-                  branches: Branches, rng: Optional[random.Random] = None,
-                  ) -> list[bool]:
-    """Which candidates match a single instantiation at fixed branches."""
-    rng = rng or random.Random(7)
-    ratio = ratio_sample(t, rng, branches=branches, precision=Fraction(1, 2 ** 128))
-    tight = Fraction(1, 10 ** 22)
-    return [_close(ratio, c.value.refined(tight).isolating, Fraction(1, 10 ** 20))
-            for c in result.candidates]

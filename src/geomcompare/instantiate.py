@@ -1,15 +1,22 @@
-"""Numeric instantiation of constructions with certified intervals.
+"""Exact configurations, shared by the sampler and the bounds witnesses.
 
-Free coordinates take exact rational or algebraic values; every derived
-point, rotation pair and length is evaluated as a rational-endpoint interval
-at a requested leaf precision. The sampler produces configurations that
-satisfy the program's equality constraints exactly (solving each constraint
-univariately for its highest free coordinate) so instantiations are genuine
-figure positions, not approximations.
+An exact value (`ExactVal`) is a rational, a real algebraic number or a
+closure that refines an interval on demand; `exact_interval` encloses one
+at a requested precision, and `solve_for` solves a constraint for one
+coordinate with the others rational. Every derived point, rotation pair and
+length is evaluated as a rational-endpoint interval at a requested leaf
+precision.
+
+The sampler solves each equality constraint exactly for its highest free
+coordinate, so instantiations are genuine figure positions. For each draw
+of the coordinates it enumerates the combinations of regular-chain branches
+(cosine root x sine sign) in a shuffled order and keeps the first that is
+nondegenerate and satisfies the sign conditions.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,19 +42,38 @@ from .construction import (
 from .intervals import Interval, eval_poly_interval, sqrt_interval
 from .polynomials import Polynomial
 
-Value = Union[Fraction, int, AlgebraicNumber, Callable[[Fraction], Interval]]
+ExactVal = Union[Fraction, AlgebraicNumber, Callable[[Fraction], Interval]]
 
 
 class DegenerateInstance(ValueError):
     """A division by a near-zero quantity at the requested precision."""
 
 
-def _value_interval(v: Value, precision: Fraction) -> Interval:
+def exact_interval(v: ExactVal, precision: Fraction) -> Interval:
+    """A rational-endpoint interval containing v, of width about precision
+    for algebraic and closure values (a point for rationals)."""
     if isinstance(v, AlgebraicNumber):
         return v.refined(precision).isolating
     if callable(v):
         return v(precision)
-    return Interval.point(Fraction(v))
+    return Interval.point(v)
+
+
+def solve_for(poly: Polynomial, target: str,
+              values: dict[str, ExactVal]) -> Optional[list[ExactVal]]:
+    """The real values of target solving poly = 0, ascending, with every
+    other variable of poly at its value in values (each one a Fraction);
+    rational roots come back as Fractions. None when poly vanishes there for
+    every value of target; an empty list when no value solves it."""
+    inst = poly
+    for name in poly.support() - {target}:
+        inst = inst.substitute(name, Polynomial.constant(values[name], inst.vars))
+    if inst.is_zero():
+        return None
+    if inst.is_constant():
+        return []
+    return [r.rational_value() if r.is_rational() else r
+            for r in isolate_real_roots(inst.restrict([target]))]
 
 
 # chain branch: (cos root index ascending, sin sign)
@@ -61,16 +87,6 @@ class Figure:
     env: dict[str, Interval]
     precision: Fraction
 
-    def ratio(self, t: Translation) -> Interval:
-        lhs, rhs = t.program.statement
-        num = eval_poly_interval(
-            expr_to_polynomial(lhs, t.seg_vars, t.universe), self.env)
-        den = eval_poly_interval(
-            expr_to_polynomial(rhs, t.seg_vars, t.universe), self.env)
-        if den.lo <= 0 <= den.hi:
-            raise DegenerateInstance("comparison denominator straddles zero")
-        return num / den
-
 
 def cos_choices(n: int) -> list[Fraction | AlgebraicNumber]:
     """Real choices for the exterior-angle cosine of a regular n-chain,
@@ -83,7 +99,7 @@ def cos_choices(n: int) -> list[Fraction | AlgebraicNumber]:
     return list(isolate_real_roots(poly_from_univariate(coeffs, "c")))
 
 
-def evaluate_figure(t: Translation, coords: dict[str, Value],
+def evaluate_figure(t: Translation, coords: dict[str, ExactVal],
                     branches: Optional[Branches] = None,
                     precision: Fraction = Fraction(1, 2 ** 64)) -> Figure:
     """Evaluate every construction step; coords maps non-pinned free
@@ -117,8 +133,8 @@ def evaluate_figure(t: Translation, coords: dict[str, Value],
                 points[step.name] = (env[vx], env[vy])
             else:
                 setpt(step.name,
-                      _value_interval(coords[vx], precision),
-                      _value_interval(coords[vy], precision))
+                      exact_interval(coords[vx], precision),
+                      exact_interval(coords[vy], precision))
         elif isinstance(step, Midpoint):
             (px, py), (qx, qy) = getpt(step.p), getpt(step.q)
             setpt(step.name, (px + qx) * Fraction(1, 2), (py + qy) * Fraction(1, 2))
@@ -161,7 +177,7 @@ def evaluate_figure(t: Translation, coords: dict[str, Value],
         elif isinstance(step, RegularChain):
             root_idx, sin_sign = branches.get(idx, (0, 1))
             roots = cos_choices(step.n)
-            cval = _value_interval(roots[root_idx % len(roots)], precision)
+            cval = exact_interval(roots[root_idx % len(roots)], precision)
             sin_sq = -cval.power(2) + 1
             sval = sqrt_interval(sin_sq, precision)
             if sin_sign < 0:
@@ -250,21 +266,31 @@ def free_coordinates(t: Translation) -> list[str]:
     return out
 
 
+_DRAWS = 200   # coordinate draws before sampling gives up
+
+
+def _branch_combinations(t: Translation) -> list[Branches]:
+    """Every choice of (cosine root, sine sign) for every regular chain."""
+    chains = [(idx, len(cos_choices(step.n)))
+              for idx, step in enumerate(t.program.steps)
+              if isinstance(step, RegularChain)]
+    per_chain = [[(root, sign) for root in range(n) for sign in (1, -1)]
+                 for _, n in chains]
+    return [dict(zip((idx for idx, _ in chains), combo))
+            for combo in itertools.product(*per_chain)]
+
+
 def sample_configuration(t: Translation, rng: random.Random,
                          branches: Optional[Branches] = None,
-                         max_attempts: int = 200,
-                         ) -> tuple[dict[str, Value], Branches]:
+                         ) -> tuple[dict[str, ExactVal], Branches]:
     """A random nondegenerate configuration satisfying all constraints.
 
     Equality constraints are solved exactly for their highest free
-    coordinate; sign conditions are enforced by rejection."""
-    prog = t.program
-    if branches is None:
-        branches = {}
-        for idx, step in enumerate(prog.steps):
-            if isinstance(step, RegularChain):
-                branches[idx] = (rng.randrange(len(cos_choices(step.n))),
-                                 rng.choice((1, -1)))
+    coordinate. For each draw of the coordinates every combination of chain
+    branches is tried in a shuffled order, and the first one that is
+    nondegenerate and satisfies the sign conditions is returned; a caller's
+    branches are the only combination tried."""
+    combos = _branch_combinations(t) if branches is None else [branches]
     freevars = free_coordinates(t)
     con_polys = _constraint_coord_polys(t)
 
@@ -276,58 +302,46 @@ def sample_configuration(t: Translation, rng: random.Random,
             raise DegenerateInstance("constraint has no free coordinate to solve")
         solved_for[cands[-1]] = poly
 
-    for _ in range(max_attempts):
-        values: dict[str, Value] = {}
-        exact: dict[str, Fraction] = {v: x for v, x in t.pinned.items()}
-        ok = True
-        for v in freevars:
-            if v in solved_for:
-                continue
-            values[v] = Fraction(rng.randint(-24, 24), rng.randint(1, 8))
-            exact[v] = values[v]
-        for v, poly in solved_for.items():
-            # substitute every other variable; requires them rational
-            inst = poly
-            for name in poly.support():
-                if name == v:
-                    continue
-                if name not in exact:
-                    ok = False
-                    break
-                inst = inst.substitute(name, Polynomial.constant(exact[name], inst.vars))
-            if not ok:
-                break
-            if inst.is_zero():
-                values[v] = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                exact[v] = values[v]
-                continue
-            if inst.is_constant():
-                ok = False
-                break
-            roots = isolate_real_roots(inst.restrict([v]))
-            if not roots:
-                ok = False
-                break
-            pick = roots[rng.randrange(len(roots))]
-            if pick.is_rational():
-                values[v] = pick.rational_value()
-                exact[v] = pick.rational_value()
-            else:
-                values[v] = pick
-        if not ok:
+    # with no free coordinate every draw gives the same configuration
+    for _ in range(_DRAWS if freevars else 1):
+        values = _draw_coordinates(t, rng, freevars, solved_for)
+        if values is None:
             continue
-        try:
-            fig = evaluate_figure(t, values, branches)
-        except DegenerateInstance:
-            continue
-        if _signconds_hold(t, fig):
-            return values, branches
-        # flip the chain orientation before resampling coordinates
-        if branches:
-            k = rng.choice(list(branches))
-            root, sign = branches[k]
-            branches[k] = (root, -sign)
+        rng.shuffle(combos)
+        for combo in combos:
+            try:
+                fig = evaluate_figure(t, values, combo)
+            except DegenerateInstance:
+                continue
+            if _signconds_hold(t, fig):
+                return values, combo
     raise DegenerateInstance("could not sample a feasible configuration")
+
+
+def _draw_coordinates(t: Translation, rng: random.Random, freevars: list[str],
+                      solved_for: dict[str, Polynomial],
+                      ) -> Optional[dict[str, ExactVal]]:
+    """Random rationals for the unsolved free coordinates and a random real
+    root of each constraint for its solved one; None when a constraint has
+    no solution or needs an irrational coordinate of another."""
+    values: dict[str, ExactVal] = {}
+    exact: dict[str, ExactVal] = dict(t.pinned)
+    for v in freevars:
+        if v not in solved_for:
+            values[v] = exact[v] = Fraction(rng.randint(-24, 24), rng.randint(1, 8))
+    for v, poly in solved_for.items():
+        if not poly.support() - {v} <= exact.keys():
+            return None
+        roots = solve_for(poly, v, exact)
+        if roots is None:
+            values[v] = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        elif not roots:
+            return None
+        else:
+            values[v] = roots[rng.randrange(len(roots))]
+        if isinstance(values[v], Fraction):
+            exact[v] = values[v]
+    return values
 
 
 def _signconds_hold(t: Translation, fig: Figure) -> bool:

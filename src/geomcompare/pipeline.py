@@ -96,10 +96,7 @@ def compare(prog: ConstructionProgram, config: Optional[CompareConfig] = None,
         t0 = time.monotonic()
         evidence = None
         if config.mode == "auto":
-            try:
-                evidence = constant_ratio_evidence(t, rng)
-            except Exception:
-                evidence = None
+            evidence = constant_ratio_evidence(t, rng)
         if evidence is None:
             try:
                 limits = BuchbergerLimits(deadline=deadline)

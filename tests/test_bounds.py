@@ -116,7 +116,7 @@ def test_enclosure_soundness_sampled_configurations():
             hi = res.sup.enclosure.hi + tol
         rng = random.Random(77)
         for _ in range(40):
-            ratio = ratio_sample(t, rng)
+            ratio, _ = ratio_sample(t, rng)
             assert ratio.hi >= lo
             if hi is not None:
                 assert ratio.lo <= hi

@@ -20,6 +20,7 @@ from geomcompare.construction import (
 )
 from geomcompare.instantiate import (
     evaluate_figure,
+    figure_with_statement,
     residual_check,
     sample_configuration,
 )
@@ -252,7 +253,7 @@ def test_pentagon_branches_give_golden_ratios():
     star_ratio = None
     for root_idx in (0, 1):
         fig = evaluate_figure(t, {}, {chain_idx: (root_idx, 1)}, Fraction(1, 2 ** 96))
-        r = fig.ratio(t)
+        r = figure_with_statement(t, fig)["m"]
         value = float(r.mid())
         if value > 1:
             convex_ratio = value

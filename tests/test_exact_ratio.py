@@ -8,12 +8,12 @@ from geomcompare.exact_ratio import (
     NoCandidateWitnessedError,
     NoPositiveRootError,
     constant_ratio_evidence,
-    crosscheck_at,
     eliminate_to_mu,
     numeric_crosscheck,
     ratio_sample,
     solve_mu,
 )
+from geomcompare.instantiate import DegenerateInstance, sample_configuration
 from geomcompare.presolve import presolve
 from geomcompare.polynomials import parse_polynomial, poly_from_univariate, render
 
@@ -52,14 +52,20 @@ def test_pentagon_candidates_and_radicals():
         ["(sqrt(5)-1)/2", "(1+sqrt(5))/2"]
 
 
+def _matches_at(result, t, branches):
+    """Which candidates match the ratio at one configuration on the given
+    chain branches."""
+    ratio, _ = ratio_sample(t, random.Random(7), branches, Fraction(1, 2 ** 128))
+    return [abs(ratio.mid() - c.value.refined(Fraction(1, 10 ** 22)).isolating.mid())
+            < Fraction(1, 10 ** 20) for c in result.candidates]
+
+
 def test_pentagon_crosscheck_convex_witnesses_golden_ratio():
     t = _prepared("pentagon_diagonal")
     result = solve_mu(eliminate_to_mu(t))
     # chain step index 2 in the program; root index 1 = larger cosine = convex
-    convex = crosscheck_at(result, t, {2: (1, 1)})
-    assert convex == [False, True]
-    star = crosscheck_at(result, t, {2: (0, 1)})
-    assert star == [True, False]
+    assert _matches_at(result, t, {2: (1, 1)}) == [False, True]
+    assert _matches_at(result, t, {2: (0, 1)}) == [True, False]
 
 
 def test_pentagon_crosscheck_random_trials_witness_both():
@@ -67,6 +73,50 @@ def test_pentagon_crosscheck_random_trials_witness_both():
     result = solve_mu(eliminate_to_mu(t))
     witnessed = numeric_crosscheck(result, t, trials=12, rng=random.Random(4))
     assert any(witnessed)
+
+
+def test_crosscheck_under_sign_conditions_evaluates_few_figures(monkeypatch):
+    """The half-plane conditions admit only the convex pentagon; the
+    sampler reaches it by enumerating chain branches, not by rejection."""
+    import geomcompare.exact_ratio as exact_ratio
+    import geomcompare.instantiate as instantiate
+    t = _prepared("pentagon_diagonal_convex")
+    result = solve_mu(eliminate_to_mu(t))
+    calls = []
+    original = instantiate.evaluate_figure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instantiate, "evaluate_figure", counting)
+    monkeypatch.setattr(exact_ratio, "evaluate_figure", counting)
+    witnessed = numeric_crosscheck(result, t, trials=8, rng=random.Random(5))
+    assert [c.radical.render() for c in result.candidates] == \
+        ["(sqrt(5)-1)/2", "(1+sqrt(5))/2"]
+    assert witnessed == [False, True]
+    assert len(calls) <= 64
+
+
+def test_sampler_keeps_caller_branches():
+    """A caller's branches are the only combination tried: they come back
+    unchanged and are never edited, or the sampler gives up. The half-plane
+    conditions admit only the convex pentagon (cosine root 1) with the
+    square on the left of AB."""
+    t = _prepared("pentagon_diagonal_convex")
+    returned = []
+    for pentagon in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        for square in (1, -1):
+            given = {2: pentagon, 3: (0, square)}
+            try:
+                _, got = sample_configuration(t, random.Random(1), branches=given)
+            except DegenerateInstance:
+                pass
+            else:
+                assert got == {2: pentagon, 3: (0, square)}
+                returned.append((pentagon, square))
+            assert given == {2: pentagon, 3: (0, square)}
+    assert returned == [((1, 1), 1), ((1, -1), 1)]
 
 
 def test_kochanski_constant():
@@ -110,7 +160,7 @@ def test_reported_equality_holds_under_perturbation():
     mu = result.candidates[0].value.rational_value()
     rng = random.Random(31)
     for _ in range(200):
-        ratio = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
+        ratio, _ = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
         assert ratio.lo - Fraction(1, 10 ** 20) <= mu <= ratio.hi + Fraction(1, 10 ** 20)
 
 
@@ -122,7 +172,7 @@ def test_eliminated_poly_vanishes_at_sampled_ratios():
         assert render(p) == expected
         rng = random.Random(13)
         for _ in range(6):
-            ratio = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
+            ratio, _ = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
             coeffs = p.univariate_coeffs("m")
             val = sum(c * ratio.mid() ** i for i, c in enumerate(coeffs))
             assert abs(val) < Fraction(1, 10 ** 20)

@@ -94,3 +94,15 @@ def test_compile_error_is_reported_as_compile_error(monkeypatch):
     result = compare_source(src, CompareConfig(timeout=10.0, mode="bounds"))
     assert result.variant == "inconclusive"
     assert result.reason == "compile-error"
+
+
+def test_presample_crash_propagates(monkeypatch):
+    import geomcompare.pipeline as pipeline
+
+    def crash(t, rng):
+        raise RuntimeError("bug in the pre-sample")
+
+    monkeypatch.setattr(pipeline, "constant_ratio_evidence", crash)
+    src = open("benchmarks/medians.gct").read()
+    with pytest.raises(RuntimeError, match="bug in the pre-sample"):
+        compare_source(src, CompareConfig(timeout=10.0))
