@@ -11,6 +11,14 @@ bounds come from the box enclosures (natural extension intersected with a
 first-order centered form); certified upper bounds come from witnesses,
 configurations built exactly inside a box and evaluated with rational
 interval arithmetic.
+
+Box evaluation is generated code: building a `BoundProblem` writes its
+definition chain, constraints, sign conditions, natural and centered forms
+and gradient table out as straight-line float code (`boxcode`) and loads it
+with `exec`. `evaluate_box` and `hull_contract` call it; their enclosures
+are bit-identical to `FI` arithmetic on the same formulas, so a search
+visits the same boxes as an interpreter would. `problem.evaluator_source`
+gives the source.
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radical
 from .construction import Translation
-from .float_intervals import FI, INF, CompiledPoly, down, up
+from .boxcode import BoxEval, compile_evaluator, evaluator_source
+from .float_intervals import FI, INF
 from .instantiate import DegenerateInstance, ExactVal, exact_interval, solve_for
 from .intervals import Interval, eval_poly_interval, sqrt_interval
 from .polynomials import Polynomial, poly_from_univariate
@@ -33,41 +42,6 @@ UNBOUNDED_AT = 1e9         # incumbent beyond this is unbounded evidence
 MIN_DIM_WIDTH = 1e-13
 NEAR_RADIUS = 8.0          # the near chart covers |x| <= R0 per coordinate;
                            # the far chart covers |point| >= R0 projectively
-
-
-class CompiledQuadratic:
-    """A quadratic evaluated as sum(a_i * linear_i^2) + residual: completing
-    squares keeps distance-squared radicands tight where the expanded form
-    straddles zero (e.g. (x-1)^2 + y^2 near (1, 0))."""
-
-    __slots__ = ("squares", "residual")
-
-    def __init__(self, poly: Polynomial, index: dict[str, int]):
-        rest = poly
-        self.squares: list[tuple[FI, CompiledPoly]] = []
-        for v in sorted(poly.support()):
-            parts = rest.coefficient_map(v)
-            if parts.get(2) is None or not parts[2].is_constant():
-                continue
-            a = parts[2].constant_value()
-            if a <= 0 or max(parts) > 2:
-                continue
-            lin = parts.get(1, Polynomial.zero(rest.vars))
-            if v in lin.support() or lin.total_degree() > 1:
-                continue
-            # a*(v + lin/(2a))^2 ; the correction re-expands exactly
-            shift = lin * (Fraction(1, 2) / a)
-            form = Polynomial.variable(v, rest.vars) + shift
-            rest = rest - (form * form) * a
-            self.squares.append((FI.from_fraction(a), CompiledPoly(form, index)))
-        self.residual = CompiledPoly(rest, index)
-
-    def eval(self, env: list[FI]) -> FI:
-        total = self.residual.eval(env)
-        for a, form in self.squares:
-            f = form.eval(env)
-            total = total + a * f.power(2)
-        return total
 
 
 @dataclass(frozen=True)
@@ -111,45 +85,6 @@ class BoundProblem:
         self._compile()
 
     def _compile(self):
-        idx = self.var_index
-
-        def comp(p: Polynomial) -> CompiledPoly:
-            return CompiledPoly(p, idx)
-
-        def partials(p: Polynomial):
-            return {v: comp(p.derivative(v)) for v in p.support()}
-
-        def quad(p: Polynomial):
-            if p.total_degree() == 2:
-                return CompiledQuadratic(p, idx)
-            return comp(p)
-
-        self.c_defs = []
-        for d in self.defs:
-            if isinstance(d, SqrtDef):
-                self.c_defs.append(("sqrt", idx[d.var], quad(d.radicand),
-                                    partials(d.radicand)))
-            else:
-                self.c_defs.append(("div", idx[d.var], comp(d.num), comp(d.den),
-                                    partials(d.num), partials(d.den)))
-        self.c_constraints = [quad(p) for p in self.constraints]
-        self.c_signconds = [(quad(p), s) for p, s in self.signconds]
-        self.c_margins = [comp(p) for p in self.margins]
-        self.c_num, self.c_den = quad(self.obj_num), quad(self.obj_den)
-        self.d_num = partials(self.obj_num)
-        self.d_den = partials(self.obj_den)
-        # precompiled univariate views of each constraint per dimension
-        dim_ix = {d.var: i for i, d in enumerate(self.dims)}
-        self.c_narrow = []
-        for p in self.constraints:
-            for var in sorted(p.support()):
-                if var not in dim_ix:
-                    continue
-                parts = p.coefficient_map(var)
-                if max(parts) > 2 or any(var in cp.support() for cp in parts.values()):
-                    continue
-                self.c_narrow.append((dim_ix[var],
-                                      {e: comp(cp) for e, cp in parts.items()}))
         # which dimensions feed each sign condition (directly or through
         # the definition chain) — undecided conditions get split priority
         dep_dims: dict[str, set[int]] = {d.var: {i} for i, d in enumerate(self.dims)}
@@ -165,6 +100,17 @@ class BoundProblem:
             for v in p.support():
                 dims |= dep_dims.get(v, set())
             self.signcond_dims.append(frozenset(dims))
+        entry = compile_evaluator(self)
+        self.evaluate = entry["evaluate"]
+        # generated only where the search contracts boxes
+        self.contract_env = entry.get("contract_env")
+        self.signs_hold = entry.get("signs_hold")
+        self.narrowers = entry.get("NARROWERS", [])
+
+    @property
+    def evaluator_source(self) -> str:
+        """The generated evaluator, generated again (the same text)."""
+        return evaluator_source(self)
 
 
 class CompileError(ValueError):
@@ -606,14 +552,6 @@ def _map_real_line(s: FI) -> FI:
     return out if out is not None else FI(-INF, INF)
 
 
-def _map_real_line_grad(s: FI) -> FI:
-    # dx/ds = (1 + s^2) / (1 - s^2)^2
-    one = FI(1.0, 1.0)
-    den = (one - s * s).power(2)
-    out = (one + s * s).divide(den)
-    return out if out is not None else FI(0.0, INF)
-
-
 def _unmap_real_line(x_lo: float, x_hi: float) -> tuple[float, float]:
     # s = (sqrt(1 + 4x^2) - 1) / (2x), odd and increasing; outward by ulps
     def inv(x: float, direction: float) -> float:
@@ -628,202 +566,13 @@ def _unmap_real_line(x_lo: float, x_hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
-class BoxEval:
-    status: str                  # "feasible" | "infeasible" | "indeterminate"
-    env: Optional[list[FI]] = None
-    ratio: Optional[FI] = None
-    grads: Optional[list[FI]] = None   # d(ratio)/d(param) over the box
-    sign_active: frozenset = frozenset()   # dims in undecided sign conditions
-
-
-def _build_env(problem: BoundProblem, ivs: list[FI]) -> tuple[str, list[FI]]:
-    env: list[FI] = [FI(0.0, 0.0)] * (len(problem.dims) + len(problem.defs))
-    for i, dim in enumerate(problem.dims):
-        s = ivs[i]
-        env[i] = _map_real_line(s) if dim.compactified else s
-    status = "feasible"
-    for entry in problem.c_defs:
-        if entry[0] == "sqrt":
-            _, slot, radicand, _ = entry
-            rad = radicand.eval(env)
-            if rad.hi < 0.0:
-                return "infeasible", env
-            root = rad.sqrt()
-            env[slot] = root
-        else:
-            _, slot, num, den, _, _ = entry
-            n = num.eval(env)
-            if n.lo == 0.0 == n.hi:
-                # an identically-zero numerator: the value is 0 wherever the
-                # figure is nondegenerate (the denominator vanishes only at
-                # degeneracies)
-                env[slot] = FI(0.0, 0.0)
-                continue
-            q = n.divide(den.eval(env))
-            if q is None:
-                status = "indeterminate"
-                env[slot] = FI(-INF, INF)
-            else:
-                env[slot] = q
-    return status, env
-
-
 def evaluate_box(problem: BoundProblem, box: Box,
                  prune_key: Optional[Callable[[FI], bool]] = None) -> BoxEval:
-    """Enclose the ratio over a box; when `prune_key` already accepts the
-    cheap natural enclosure, the centered form is skipped."""
-    status, env = _build_env(problem, box.ivs)
-    if status == "infeasible":
-        return BoxEval("infeasible")
-    for c in problem.c_constraints:
-        iv = c.eval(env)
-        if not iv.straddles_zero():
-            return BoxEval("infeasible")
-    sign_active: set[int] = set()
-    for i, (c, sign) in enumerate(problem.c_signconds):
-        iv = c.eval(env)
-        if sign > 0 and iv.hi <= 0.0:
-            return BoxEval("infeasible")
-        if sign < 0 and iv.lo >= 0.0:
-            return BoxEval("infeasible")
-        if iv.lo <= 0.0 <= iv.hi:
-            sign_active.update(problem.signcond_dims[i])
-    sign_active = frozenset(sign_active)
-    den = problem.c_den.eval(env)
-    num = problem.c_num.eval(env)
-    ratio = num.divide(den)
-    if ratio is None:
-        ratio = _one_sided_quotient(num, den)
-        return BoxEval("indeterminate", env, ratio, None, sign_active)
-    if prune_key is not None and prune_key(ratio):
-        return BoxEval(status, env, ratio, None, sign_active)
-    # centered form, iterated: a tighter ratio enclosure tightens the
-    # quotient-rule combination (the def-gradient table is reused)
-    cratio = _center_value(problem, box)
-    grads = None
-    if cratio is not None:
-        table = _grad_table(problem, box, env)
-        if table is not None:
-            for _ in range(2):
-                grads = _combine_gradients(problem, env, table, ratio)
-                if grads is None:
-                    break
-                total = cratio
-                for j in range(problem.n_dims):
-                    s = box.ivs[j]
-                    half = FI(down(s.lo - s.mid()), up(s.hi - s.mid()))
-                    total = total + grads[j] * half
-                tighter = ratio.intersect(total)
-                if tighter is None or tighter.width() > 0.9 * ratio.width():
-                    ratio = tighter if tighter is not None else ratio
-                    break
-                ratio = tighter
-    return BoxEval(status, env, ratio, grads, sign_active)
-
-
-def _one_sided_quotient(num: FI, den: FI) -> FI:
-    """Enclosure of num/den when the denominator touches zero on one side
-    (quotients of nonnegative quantities stay bounded on one side)."""
-    lo, hi = -INF, INF
-    if den.lo >= 0.0 and den.hi > 0.0:
-        if num.lo >= 0.0:
-            lo = down(num.lo / den.hi)
-        if num.hi <= 0.0:
-            hi = up(num.hi / den.hi)
-    elif den.hi <= 0.0 and den.lo < 0.0:
-        if num.lo >= 0.0:
-            hi = up(num.lo / den.lo)
-        if num.hi <= 0.0:
-            lo = down(num.hi / den.lo)
-    return FI(lo, hi)
-
-
-def _center_value(problem: BoundProblem, box: Box) -> Optional[FI]:
-    center = [FI.point(iv.mid()) for iv in box.ivs]
-    cstatus, cenv = _build_env(problem, center)
-    if cstatus != "feasible":
-        return None
-    cden = problem.c_den.eval(cenv)
-    return problem.c_num.eval(cenv).divide(cden)
-
-
-def _grad_table(problem: BoundProblem, box: Box, env: list[FI]):
-    """Gradient rows of every dimension and definition over the box, plus
-    the objective numerator/denominator gradients (ratio-independent)."""
-    n = problem.n_dims
-    grad: list[list[FI]] = []
-    for i, dim in enumerate(problem.dims):
-        row = [FI(0.0, 0.0)] * n
-        row[i] = _map_real_line_grad(box.ivs[i]) if dim.compactified else FI(1.0, 1.0)
-        grad.append(row)
-
-    whole_row = lambda: [FI(-INF, INF)] * n
-
-    def poly_grad(partials: dict[str, CompiledPoly]) -> list[FI]:
-        out = [FI(0.0, 0.0)] * n
-        for vname, dp in partials.items():
-            slot = problem.var_index[vname]
-            coeff = dp.eval(env)
-            for j in range(n):
-                out[j] = out[j] + coeff * grad[slot][j]
-        return out
-
-    # definition rows are appended in slot order (defs are topologically
-    # ordered and numbered after the dims)
-    for entry in problem.c_defs:
-        if entry[0] == "sqrt":
-            _, slot, _radicand, parts = entry
-            root = env[slot]
-            if root.lo <= 0.0:
-                grad.append(whole_row())
-                continue
-            base = poly_grad(parts)
-            two_root = root.scale(2.0)
-            grad.append([b.divide(two_root) or FI(-INF, INF) for b in base])
-        else:
-            _, slot, _num, den, pnum, pden = entry
-            v = env[slot]
-            if not pnum and v.lo == 0.0 == v.hi:
-                grad.append([FI(0.0, 0.0)] * n)
-                continue
-            d = den.eval(env)
-            if d.straddles_zero() or v.lo == -INF or v.hi == INF:
-                grad.append(whole_row())
-                continue
-            gn, gd = poly_grad(pnum), poly_grad(pden)
-            grad.append([(gn[j] - v * gd[j]).divide(d) or FI(-INF, INF)
-                         for j in range(n)])
-
-    return (poly_grad(problem.d_num), poly_grad(problem.d_den))
-
-
-def _combine_gradients(problem: BoundProblem, env: list[FI], table,
-                       ratio: FI) -> Optional[list[FI]]:
-    gnum, gden = table
-    den = problem.c_den.eval(env)
-    out = []
-    for j in range(problem.n_dims):
-        g = (gnum[j] - ratio * gden[j]).divide(den)
-        if g is None:
-            return None
-        out.append(g)
-    return out
-
-
-def _gradients(problem: BoundProblem, box: Box, env: list[FI],
-               ratio_enclosure: Optional[FI] = None) -> Optional[list[FI]]:
-    """d(ratio)/d(param_j) intervals over the box, via the definition DAG."""
-    den = problem.c_den.eval(env)
-    m = problem.c_num.eval(env).divide(den)
-    if m is None:
-        return None
-    if ratio_enclosure is not None:
-        tighter = m.intersect(ratio_enclosure)
-        if tighter is not None:
-            m = tighter
-    table = _grad_table(problem, box, env)
-    return _combine_gradients(problem, env, table, m)
+    """Enclose the ratio over a box: the natural extension, intersected with
+    an iterated first-order centered form (Hansen & Walster) unless
+    `prune_key` already accepts the natural enclosure. The work is done by
+    the problem's generated evaluator (`boxcode`)."""
+    return problem.evaluate(box.ivs, prune_key)
 
 
 # ---------------------------------------------------------------------------
@@ -837,19 +586,16 @@ def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optio
     """Narrow a box with each constraint treated as univariate (degree <= 2)
     in each dimension, interval coefficients from the rest; returns None when
     some constraint or sign condition excludes the whole box."""
-    if not problem.c_constraints and not problem.c_signconds:
+    if not problem.constraints and not problem.signconds:
         return box
     ivs = list(box.ivs)
     for _ in range(max_rounds):
-        status, env = _build_env(problem, ivs)
-        if status == "infeasible":
+        env = problem.contract_env(ivs)     # flat [lo0, hi0, lo1, ...]
+        if env is None:
             return None
         gain = 0.0
-        for comp in problem.c_constraints:
-            if not comp.eval(env).straddles_zero():
-                return None
-        for i, parts in problem.c_narrow:
-            new_x = _narrow_univariate(parts, env)
+        for i, narrow in problem.narrowers:
+            new_x = _narrow_univariate(*narrow(env))
             if new_x is _INFEASIBLE:
                 return None
             if new_x is None:
@@ -868,29 +614,21 @@ def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optio
                 gain = max(gain, (cur.width() - inter.width()) /
                            max(cur.width(), 1e-300))
                 ivs[i] = inter
-                env[i] = _map_real_line(inter) if dim.compactified else inter
-        for comp, sign in problem.c_signconds:
-            iv = comp.eval(env)
-            if sign > 0 and iv.hi <= 0.0:
-                return None
-            if sign < 0 and iv.lo >= 0.0:
-                return None
+                x = _map_real_line(inter) if dim.compactified else inter
+                env[2 * i], env[2 * i + 1] = x.lo, x.hi
+        if not problem.signs_hold(env):
+            return None
         if gain < 0.01:
             break
     return Box(ivs, box.depth)
 
 
-def _narrow_univariate(parts: dict[int, CompiledPoly], env: list[FI]):
+def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
     """Solution hull of a constraint seen as univariate with interval
-    coefficients; _INFEASIBLE when no real solution exists, None when the
-    form gives no information."""
-    deg = max(parts)
-    coeffs = {e: cp.eval(env) for e, cp in parts.items()}
-    a0 = coeffs.get(0, FI(0.0, 0.0))
-    a1 = coeffs.get(1, FI(0.0, 0.0))
-    if deg <= 1:
+    coefficients (a2 None for degree 1); _INFEASIBLE when no real solution
+    exists, None when the form gives no information."""
+    if a2 is None:
         return (-a0).divide(a1)
-    a2 = coeffs[2]
     disc = a1 * a1 - (a2 * a0).scale(4.0)
     if disc.hi < 0.0:
         return _INFEASIBLE
@@ -1554,7 +1292,7 @@ def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
     if problem.constraints or problem.signconds or ev.env is None:
         return None
     grads = ev.grads if ev.grads is not None \
-        else _gradients(problem, box, ev.env, ev.ratio)
+        else problem.evaluate(box.ivs, None, ev.ratio)
     if grads is None:
         return None
     new_ivs = None

@@ -5,6 +5,14 @@ on each side makes the arithmetic certified (IEEE basic operations and
 sqrt round correctly, so the true value is within half an ulp). Exact
 rational interfaces live in `intervals`; this module trades tightness for
 speed inside the search.
+
+`FI` defines the arithmetic. The box evaluator does not call it per
+operation: `boxcode` writes each chart's evaluation out as straight-line
+code on float pairs, with `FI.__mul__`'s sign cases, `power`, `sqrt`,
+`divide` and `down`/`up` inlined, and its enclosures are bit-identical to
+these methods (same operations, same order, same rounding, the same NaN,
+infinity and signed-zero cases). A change to the arithmetic here must be
+made in `boxcode` too; `tests/test_codegen.py` compares the two.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ class FI:
         try:
             x = float(f)
         except OverflowError:
-            return FI(-INF, INF) if f < 0 else FI(-INF, INF)
+            return FI.whole()
         if math.isfinite(x) and Fraction(x) == f:
             return FI(x, x)
         return FI(down(x), up(x))
@@ -156,31 +164,3 @@ class FI:
 
     def __repr__(self):
         return f"fi[{self.lo!r}, {self.hi!r}]"
-
-
-class CompiledPoly:
-    """A polynomial flattened to (coefficient FI, ((var index, exp), ...))."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, poly, index: dict[str, int]):
-        self.terms = []
-        for mono, coef in poly.terms.items():
-            powers = tuple((index[poly.vars[i]], e)
-                           for i, e in enumerate(mono) if e)
-            self.terms.append((FI.from_fraction(coef), powers))
-
-    def eval(self, env: list[FI]) -> FI:
-        total = FI(0.0, 0.0)
-        cache: dict[tuple[int, int], FI] = {}
-        for coef, powers in self.terms:
-            term = coef
-            for key in powers:
-                p = cache.get(key)
-                if p is None:
-                    idx, e = key
-                    p = env[idx] if e == 1 else env[idx].power(e)
-                    cache[key] = p
-                term = term * p
-            total = total + term
-        return total

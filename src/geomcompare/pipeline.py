@@ -242,8 +242,9 @@ def render_compare_text(result: CompareResult, prog: ConstructionProgram) -> str
         lhs_s, rhs_s = expr_render(lhs, names), expr_render(rhs, names)
         inf = result.bounds.inf
         sup = result.bounds.sup
-        if inf.enclosure is not None and sup.attainment == "unbounded-evidence" \
-                and inf.exact is not None:
+        # as in render_bound_text: an uncertified inf states no inequality
+        inf_known = inf.enclosure is not None and inf.attainment != "unknown"
+        if inf_known and sup.attainment == "unbounded-evidence" and inf.exact is not None:
             op = ">=" if inf.attainment == "attained" else ">"
             return f"({lhs_s}) {op} {_wrap(inf.exact.render())} * ({rhs_s})"
         return f"({lhs_s}) vs ({rhs_s}): {render_bound_text(result.bounds)}"

@@ -7,7 +7,8 @@ GET /euclideansolver?lhs=w1&rhs=v11&polys=...&vars=...&posvariables=...
     `vars` are pinned to 0,0,1,0.
 
 POST /compare
-    accepts a .gct construction body, answers a structured JSON document.
+    accepts a .gct construction body (UTF-8, at most MAX_BODY bytes, with a
+    Content-Length), answers a structured JSON document.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .pipeline import (
 )
 from .polynomials import Polynomial, PolynomialParseError, parse_polynomial, render
 from .presolve import presolve
+
+
+MAX_BODY = 1 << 20     # bytes: larger POST /compare bodies are refused (413)
 
 
 class WireError(ValueError):
@@ -199,8 +203,19 @@ def make_handler(timeout: float):
             if url.path != "/compare":
                 self._send(404, "not found")
                 return
-            length = int(self.headers.get("Content-Length", "0"))
-            src = self.rfile.read(length).decode()
+            raw = (self.headers.get("Content-Length") or "").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                self._send(400, "bad request: missing or invalid Content-Length")
+                return
+            length = int(raw)
+            if length > MAX_BODY:
+                self._send(413, f"body over {MAX_BODY} bytes")
+                return
+            try:
+                src = self.rfile.read(length).decode("utf-8")
+            except UnicodeDecodeError:
+                self._send(400, "bad request: body is not UTF-8")
+                return
             try:
                 from .construction import parse_construction
                 prog = parse_construction(src)

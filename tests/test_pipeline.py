@@ -106,3 +106,22 @@ def test_presample_crash_propagates(monkeypatch):
     src = open("benchmarks/medians.gct").read()
     with pytest.raises(RuntimeError, match="bug in the pre-sample"):
         compare_source(src, CompareConfig(timeout=10.0))
+
+
+def test_compare_text_states_a_strict_bound_only_when_certified():
+    from geomcompare.bounds import BoundsResult, SideResult, exactify
+    from geomcompare.intervals import Interval
+    from geomcompare.pipeline import CompareResult
+    prog = parse_construction(open("benchmarks/triangle_inequality.gct").read())
+    enclosure = Interval(Fraction(999999, 10 ** 6), Fraction(1))
+    unbounded = SideResult(None, "unbounded-evidence")
+
+    def text(attainment):
+        inf = SideResult(enclosure, attainment, exact=exactify(enclosure))
+        result = CompareResult("bounds", bounds=BoundsResult(inf, unbounded))
+        return render_compare_text(result, prog)
+
+    assert text("limit-conjectured") == "(a+b) > 1 * (c)"
+    assert text("attained") == "(a+b) >= 1 * (c)"
+    # an uncertified inf: no inequality, only what the bound grammar says
+    assert text("unknown") == "(a+b) vs (c): m unbounded above"

@@ -88,3 +88,49 @@ def test_wire_translation_counts():
     _, report = presolve(t)
     assert (report.input_equations, report.input_variables) == (10, 12)
     assert (report.output_equations, report.output_variables) == (6, 8)
+
+
+def _post_raw(base, headers, body=b""):
+    """POST /compare with the given headers, none added; (status, body)."""
+    import http.client
+    host, port = base.split("//")[1].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.putrequest("POST", "/compare", skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, resp.read().decode()
+    finally:
+        conn.close()
+
+
+def test_post_compare_without_content_length(server):
+    assert _post_raw(server, {})[0] == 400
+
+
+@pytest.mark.parametrize("length", ["abc", "1.5", "-1", "1_0", ""])
+def test_post_compare_invalid_content_length(server, length):
+    # -1 once made the server read until the client hung up
+    assert _post_raw(server, {"Content-Length": length})[0] == 400
+
+
+def test_post_compare_body_too_large(server):
+    from geomcompare.service import MAX_BODY
+    status, _ = _post_raw(server, {"Content-Length": str(MAX_BODY + 1)})
+    assert status == 413
+
+
+def test_post_compare_body_not_utf8(server):
+    body = b"point A\n\xff\xfe\n"
+    status, text = _post_raw(server, {"Content-Length": str(len(body))}, body)
+    assert status == 400 and "UTF-8" in text
+
+
+def test_post_compare_still_answers_after_bad_requests(server):
+    src = open("benchmarks/pythagoras_right.gct").read().encode()
+    status, body = _post_raw(server, {"Content-Length": str(len(src))}, src)
+    assert status == 200 and json.loads(body)["variant"] == "exact"
