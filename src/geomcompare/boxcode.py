@@ -40,10 +40,10 @@ univariate view of a constraint.
 
 from __future__ import annotations
 
+import functools
+import keyword
 import math
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,12 +203,17 @@ def _decide(facts: dict, x, op: str, then, other):
 
 PIECE_LINES = 60
 
-# generated functions that others call, names the generated code reads
-# from its namespace, and keywords
+# the helpers the generated code reads from its namespace; `compile_evaluator`
+# adds `SD`, the problem's sign-condition dims
+_HELPERS = {
+    "FI": FI, "BoxEval": BoxEval, "one_sided": one_sided_quotient,
+    "INF": INF, "NINF": -INF, "nextafter": math.nextafter,
+    "copysign": math.copysign, "sqrt": math.sqrt, "EMPTY": frozenset(),
+}
+# generated functions that others call
 _CALLEES = frozenset(("mul", "centre"))
-_GLOBALS = _CALLEES | frozenset((
-    "FI BoxEval one_sided INF NINF nextafter copysign sqrt EMPTY SD "
-    "None True False if elif else or and not is in for return break pass").split())
+# names a piece never passes on to the next: the namespace's and keywords
+_GLOBALS = _CALLEES | _HELPERS.keys() | {"SD"} | frozenset(keyword.kwlist)
 _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _DEF = re.compile(r"^def (\w+)\(", re.M)
 
@@ -301,15 +306,15 @@ class Emitter:
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
 
-    def pieces(self, max_lines: int = PIECE_LINES) -> list[str]:
-        """The function as pieces of at most about `max_lines` lines, cut
+    def pieces(self) -> list[str]:
+        """The function as pieces of at most about `PIECE_LINES` lines, cut
         between top-level statements, in the order they must be defined
         (the last first); each piece ends by returning the call of the next
         one with the locals the later pieces read.
 
         Parsing takes memory in proportion to the source being parsed (2 to
-        10 kB a line here), and the heap of the thread that compiles keeps
-        that peak, so pieces bound it. A piece binds the names it passes on but
+        10 kB a line here), and a process's peak memory includes its largest
+        parse, so pieces bound it. A piece binds the names it passes on but
         did not receive to None on entry: a piece reads a local only where
         the whole function would have assigned it, so no None is read.
         Generated functions that a piece calls are bound as defaults, so
@@ -323,7 +328,7 @@ class Emitter:
             units[-1].append(line)
         chunks: list[list[str]] = [[]]
         for unit in units:
-            if chunks[-1] and len(chunks[-1]) + len(unit) > max_lines:
+            if chunks[-1] and len(chunks[-1]) + len(unit) > PIECE_LINES:
                 chunks.append([])
             chunks[-1].extend(unit)
         name = header[4:header.index("(")]
@@ -988,19 +993,14 @@ class _Generator:
         return parts
 
 
-# Parsing takes about 120 bytes per character of source while it runs.
-# glibc's malloc gives each thread but the main one a heap of its own, and
-# each heap keeps its high-water mark: compiled on every server thread, each
-# thread's heap would keep a parser's peak. So the main thread compiles for
-# itself and every other thread hands its compiles to one compiling thread
-# (started by the first such compile, not at import); a compiling thread in
-# a single-threaded run would only add a heap.
-_COMPILER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="boxcode-compile")
-
-
-def _compile_parts(parts: list[str], filename: str) -> list:
-    # one piece at a time: the parser's peak follows the largest piece
-    return [compile(part, filename, "exec") for part in parts]
+@functools.cache
+def _malloc_trim():
+    """glibc's `malloc_trim`, or None where the C library has none."""
+    import ctypes
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
 
 
 def evaluator_source(problem) -> str:
@@ -1017,18 +1017,18 @@ def compile_evaluator(problem) -> dict:
     reference cycle, and each finished problem's code would stay in memory
     until a full garbage collection."""
     parts = _Generator(problem).functions()
-    namespace = {
-        "FI": FI, "BoxEval": BoxEval, "one_sided": one_sided_quotient,
-        "INF": INF, "NINF": -INF, "nextafter": math.nextafter,
-        "copysign": math.copysign, "sqrt": math.sqrt, "EMPTY": frozenset(),
-        "SD": list(problem.signcond_dims),
-    }
+    namespace = {**_HELPERS, "SD": list(problem.signcond_dims)}
     filename = f"<box evaluator: {problem.chart} chart>"
-    if threading.current_thread() is threading.main_thread():
-        codes = _compile_parts(parts, filename)
-    else:
-        codes = _COMPILER.submit(_compile_parts, parts, filename).result()
-    for code in codes:
-        exec(code, namespace)
+    # one piece at a time: the parser's peak follows the largest piece
+    for part in parts:
+        exec(compile(part, filename, "exec"), namespace)
+    # The parser's memory is freed but stays in the compiling thread's heap:
+    # glibc gives each thread but the main one a heap of its own and trims
+    # one only when its free top exceeds a threshold, which it raises as
+    # large blocks are freed. Each server thread that compiled would keep a
+    # parser's peak.
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     generated = {m.group(1) for part in parts for m in _DEF.finditer(part)} | {"NARROWERS"}
     return {name: namespace.pop(name) for name in list(namespace) if name in generated}

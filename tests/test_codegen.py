@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from geomcompare import boxcode
 from geomcompare.boxcode import Emitter, V, complete_squares, product_source
 from geomcompare.bounds import (
     Box,
@@ -466,8 +467,8 @@ def test_differential_cases_cover_the_bounds_path():
 
 
 def test_problems_built_on_many_threads_at_once():
-    # every evaluator is compiled on one shared thread: problems built on
-    # more threads than cores, with frequent switches, each get their own
+    # problems built and evaluated on more threads than cores, with frequent
+    # switches, each give the results of a single-threaded run
     t, _ = presolve(translate(parse_construction(open("benchmarks/medians.gct").read())))
     boxes = list(seeded_boxes(compile_charts(t)[0], random.Random("threads"), 10))
 
@@ -500,6 +501,16 @@ def test_problems_built_on_many_threads_at_once():
         for g, w in zip(got, want, strict=True):
             assert g.status == w.status and same_fi(g.ratio, w.ratio)
             assert same_list(g.grads, w.grads)
+
+
+def test_compiles_where_the_c_library_has_no_malloc_trim(monkeypatch):
+    t, _ = presolve(translate(parse_construction(open("benchmarks/medians.gct").read())))
+    boxes = list(seeded_boxes(compile_charts(t)[0], random.Random("no trim"), 5))
+    want = [evaluate_box(p, box) for p in compile_charts(t) for box in boxes]
+    monkeypatch.setattr(boxcode, "_malloc_trim", lambda: None)
+    got = [evaluate_box(p, box) for p in compile_charts(t) for box in boxes]
+    for g, w in zip(got, want, strict=True):
+        assert g.status == w.status and same_fi(g.ratio, w.ratio)
 
 
 # ---------------------------------------------------------------------------
