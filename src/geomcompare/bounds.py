@@ -276,14 +276,20 @@ def compile_problem(t: Translation,
 def compile_charts(t: Translation,
                    objective: Optional[tuple[Polynomial, Polynomial]] = None,
                    ) -> list[BoundProblem]:
-    """The near chart plus, when at most two coordinates are unbounded, a
+    """The near chart plus, when one or two coordinates are unbounded, a
     projective chart at infinity: the unbounded pair becomes (cs, sn)/rho
     with rho in [0, 1/R0], every polynomial homogenized by rho-padding.
     Homogeneity of the compared expressions makes the ratio a polynomial
-    quotient in chart variables, so enclosures stay tight at infinity."""
+    quotient in chart variables, so enclosures stay tight at infinity.
+    More than two unbounded coordinates raise `CompileError`: the near
+    chart alone covers only |x| <= R0, so its bounds would not be bounds
+    over the whole plane."""
     near = compile_problem(t, objective)
     unbounded = [d.var for d in near.dims if d.compactified]
-    if not unbounded or len(unbounded) > 2:
+    if len(unbounded) > 2:
+        raise CompileError(f"{len(unbounded)} unbounded coordinates "
+                           f"({', '.join(unbounded)}); at most two are supported")
+    if not unbounded:
         return [near]
     charts = [near]
     for side in (1, -1):
@@ -480,7 +486,6 @@ def _toposort(defs: list[Def]) -> list[Def]:
 @dataclass
 class Box:
     ivs: list[FI]                       # per-dim parameter intervals
-    depth: int = 0
 
 
 def _split_metric(problem: BoundProblem, box: Box, i: int) -> float:
@@ -500,10 +505,8 @@ def _split_metric(problem: BoundProblem, box: Box, i: int) -> float:
 def split_box(problem: BoundProblem, box: Box,
               ev: Optional[BoxEval] = None) -> tuple[Box, Box]:
     """Bisect the dimension with the largest smear (|gradient| * width) when
-    gradients are available, else the largest geometric metric. Compactified
-    dimensions whose image spans orders of magnitude are cut at the
-    geometric mean of the image so the log-range halves, instead of peeling
-    one band at a time."""
+    gradients are available, else the largest geometric metric, at the
+    midpoint of its parameter interval."""
     i = None
     if ev is not None and ev.grads is not None:
         smears = []
@@ -523,20 +526,10 @@ def split_box(problem: BoundProblem, box: Box,
         i = max(range(len(box.ivs)), key=lambda k: _split_metric(problem, box, k))
     iv = box.ivs[i]
     m = iv.mid()
-    if problem.dims[i].compactified:
-        x = _map_real_line(iv)
-        if x.lo > 0 and x.hi > 16.0 * max(x.lo, 1.0):
-            xs = math.sqrt(max(x.lo, 1.0) * x.hi)
-            m = _unmap_point(xs)
-        elif x.hi < 0 and x.lo < 16.0 * min(x.hi, -1.0):
-            xs = -math.sqrt(max(-x.hi, 1.0) * -x.lo)
-            m = _unmap_point(xs)
-        if not (iv.lo < m < iv.hi):
-            m = iv.mid()
     left, right = list(box.ivs), list(box.ivs)
     left[i] = FI(iv.lo, m)
     right[i] = FI(m, iv.hi)
-    return (Box(left, box.depth + 1), Box(right, box.depth + 1))
+    return Box(left), Box(right)
 
 
 def _unmap_point(x: float) -> float:
@@ -620,7 +613,7 @@ def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optio
             return None
         if gain < 0.01:
             break
-    return Box(ivs, box.depth)
+    return Box(ivs)
 
 
 def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
@@ -654,13 +647,13 @@ class Witness:
     values: dict[str, ExactVal]
 
 
-_WITNESS_WINDOWS = ((1, 3), (5, 7), (1, 7), (0, 1), (7, 8))  # eighths
+_WITNESS_WINDOWS = ((1, 3), (5, 7))  # eighths
 
 
 def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
     """A small-denominator rational inside the interval (keeps the exact
-    witness arithmetic cheap); bias shifts the sampling window, used to
-    avoid degeneracies and to probe thin feasible slivers near box edges."""
+    witness arithmetic cheap); bias picks the sampling window, the lower
+    or the upper quarter-width band, to step off a degeneracy."""
     if rng.width() == 0:
         return rng.lo
     w = rng.width()
@@ -672,10 +665,10 @@ def witness_for_box(problem: BoundProblem, box: Box,
                     goal: Fraction = Fraction(1, 10 ** 9)) -> Optional[Witness]:
     """Build a configuration inside the box satisfying every constraint
     exactly, then evaluate the ratio with rational interval arithmetic.
-    A few sampling windows and claim orientations are tried in case the
-    first exact point sits on a degeneracy or outside a thin feasible
-    sliver."""
-    for bias in range(5 if problem.constraints else 3):
+    A second attempt samples a higher window and flips the claim
+    orientation, in case the first exact point sits on a degeneracy or
+    outside a thin feasible sliver."""
+    for bias in range(len(_WITNESS_WINDOWS)):
         w = _witness_attempt(problem, box, goal, bias)
         if w is not None:
             return w
@@ -1068,9 +1061,6 @@ class SideResult:
     witness_margin: Optional[float] = None
     exact: Optional[ExactBound] = None
 
-    def bound_value(self) -> Optional[Fraction]:
-        return None if self.enclosure is None else self.enclosure.mid()
-
 
 @dataclass
 class BoundsResult:
@@ -1092,13 +1082,21 @@ class _Side:
 
 def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
               hard_goal: float, deadline: float, witness_goal: Fraction) -> _Side:
-    # everything below works in minimized coordinates: the supremum search
-    # minimizes -m, so heap keys are lower bounds either way
+    """Best-first search for one side, in minimized coordinates: the
+    supremum search minimizes -m, so heap keys are lower bounds either way.
+    A polished witness per chart root seeds the incumbent; a witness on the
+    first boxes and on every 8th box improves it. Stops: the gap test, a
+    small rational pinned inside a gap below `tol`, an incumbent below
+    -`UNBOUNDED_AT`, an emptied heap, or the deadline. Boxes narrower than
+    `MIN_DIM_WIDTH` are dropped, their keys kept in the floor."""
 
     def low_key(ev: BoxEval) -> float:
         if ev.ratio is None:
             return -INF
         return ev.ratio.lo if minimize else -ev.ratio.hi
+
+    def witness_value(w: Witness) -> float:
+        return float(w.ratio.hi) if minimize else -float(w.ratio.lo)
 
     heap: list[tuple[float, int, int, Box, BoxEval]] = []
     counter = 0
@@ -1109,7 +1107,6 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
     timed_out = False
     unbounded = False
     last_key = INF
-    last_polish = -1000
 
     def prune_check(r: FI) -> bool:
         k = r.lo if minimize else -r.hi
@@ -1133,16 +1130,13 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
     # seed the incumbent by local descent so pruning works immediately
     for ci, root in roots:
         w = _polished_witness(charts[ci], root, minimize, witness_goal)
-        if w is not None:
-            value = float(w.ratio.hi) if minimize else -float(w.ratio.lo)
-            if value < incumbent:
-                incumbent = value
-                best_witness = w
-        if best_witness is not None and abs(incumbent) > UNBOUNDED_AT:
+        if w is not None and witness_value(w) < incumbent:
+            incumbent = witness_value(w)
+            best_witness = w
+        if incumbent < -UNBOUNDED_AT:
             return _Side(floor=-INF, incumbent=incumbent, witness=best_witness,
                          unbounded=True, timed_out=False, boxes=0)
 
-    stall_reference = (INF, 0)
     while heap:
         if time.monotonic() > deadline:
             timed_out = True
@@ -1155,60 +1149,23 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
         gap = incumbent - k
         if not gap > hard_goal:      # also stops on a NaN gap (k = incumbent = inf)
             break
-        if gap <= tol:
+        if gap <= tol and math.isfinite(k):
             # a small rational already pinned inside the enclosure will not
             # change with further refinement
-            if math.isfinite(k):
-                r = simplest_rational_in(Fraction(k), Fraction(incumbent))
-                if r.denominator <= 64:
-                    break
-            # stall: converged to tol but refinement no longer progresses
-            ref_gap, ref_boxes = stall_reference
-            if gap < 0.5 * ref_gap:
-                stall_reference = (gap, boxes)
-            elif boxes - ref_boxes > 4000:
+            r = simplest_rational_in(Fraction(k), Fraction(incumbent))
+            if r.denominator <= 64:
                 break
-        elif math.isinf(stall_reference[0]):
-            stall_reference = (gap, boxes)
 
-        want_witness = best_witness is None or boxes % 8 == 0
-        if want_witness:
+        if best_witness is None or boxes % 8 == 0:
             w = witness_for_box(problem, box, witness_goal)
-            if w is None and boxes - last_polish > 48:
-                last_polish = boxes
-                w = _polished_witness(problem, box, minimize, witness_goal)
-            if w is not None:
-                value = float(w.ratio.hi) if minimize else -float(w.ratio.lo)
-                if value < incumbent:
-                    incumbent = value
-                    best_witness = w
-                    if boxes - last_polish > 16:
-                        last_polish = boxes
-                        pw = _polished_witness(problem, box, minimize,
-                                               witness_goal)
-                        if pw is not None:
-                            pv = float(pw.ratio.hi) if minimize \
-                                else -float(pw.ratio.lo)
-                            if pv < incumbent:
-                                incumbent = pv
-                                best_witness = pw
-                    if abs(incumbent) > UNBOUNDED_AT:
-                        unbounded = True
-                        break
+            if w is not None and witness_value(w) < incumbent:
+                incumbent = witness_value(w)
+                best_witness = w
+                if incumbent < -UNBOUNDED_AT:
+                    unbounded = True
+                    break
 
-        # an unresolvable one-sided enclosure on a projective box: probe a
-        # ray toward infinity for monotone growth
-        if math.isinf(k) and problem.chart == "far" and boxes % 4 == 0:
-            probe = _ray_probe(problem, box, minimize, witness_goal)
-            if probe is not None:
-                incumbent = float(probe.ratio.hi) if minimize \
-                    else -float(probe.ratio.lo)
-                best_witness = probe
-                unbounded = True
-                break
-
-        if not box.ivs or box.depth > 200 or \
-                max(iv.width() for iv in box.ivs) < MIN_DIM_WIDTH:
+        if not box.ivs or max(iv.width() for iv in box.ivs) < MIN_DIM_WIDTH:
             discard_floor = min(discard_floor, k)
             continue
         reduced = _monotone_reduce(problem, box, ev, minimize)
@@ -1280,7 +1237,7 @@ def _polished_witness(problem: BoundProblem, box: Box, minimize: bool,
     eps = 1e-12
     ivs = [FI(max(x - eps, d.lo), min(x + eps, d.hi))
            for x, d in zip(best, problem.dims)]
-    return witness_for_box(problem, Box(ivs, box.depth), goal)
+    return witness_for_box(problem, Box(ivs), goal)
 
 
 def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
@@ -1311,37 +1268,31 @@ def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
         new_ivs[j] = FI(pin, pin)
     if new_ivs is None:
         return None
-    return Box(new_ivs, box.depth + 1)
+    return Box(new_ivs)
 
 
-def _ray_probe(problem: BoundProblem, box: Box, minimize: bool,
+def _ray_probe(problem: BoundProblem, box: Box,
                goal: Fraction) -> Optional[Witness]:
     """Witnesses along a compactification ray (shrinking the projective
-    radius geometrically): monotone growth beyond the threshold is the
-    unbounded-evidence criterion."""
-    try:
-        rho_i = next(i for i, d in enumerate(problem.dims) if d.var == "_rho")
-    except StopIteration:
-        return None
-    rho_hi = box.ivs[rho_i].hi
+    radius geometrically): monotone growth of the ratio beyond
+    `UNBOUNDED_AT` is the evidence that the supremum is unbounded."""
+    rho_hi = box.ivs[0].hi              # a far chart's first dimension is _rho
     if rho_hi <= 0.0:
         return None
     last = None
-    witness = None
     rho = Fraction(1, max(2, int(1.0 / max(rho_hi / 4, 1e-300))))
     for _ in range(12):
         ivs = list(box.ivs)
-        ivs[rho_i] = FI(float(rho), float(rho))
-        w = witness_for_box(problem, Box(ivs, box.depth), goal)
+        ivs[0] = FI(float(rho), float(rho))
+        w = witness_for_box(problem, Box(ivs), goal)
         if w is None:
             return None
-        value = -float(w.ratio.lo) if not minimize else float(w.ratio.hi)
-        if last is not None and value >= last:
+        value = float(w.ratio.lo)
+        if last is not None and value <= last:
             return None  # not monotone toward the pole
         last = value
-        witness = w
-        if abs(value) > UNBOUNDED_AT:
-            return witness
+        if value > UNBOUNDED_AT:
+            return w
         rho = rho / 64
     return None
 
@@ -1355,14 +1306,11 @@ def _quick_unbounded(charts: list[BoundProblem],
         if root is None:
             continue
         w = _polished_witness(problem, root, False, witness_goal)
-        if w is not None and -float(w.ratio.lo) < -UNBOUNDED_AT:
+        if (w is None or float(w.ratio.lo) <= UNBOUNDED_AT) and problem.chart == "far":
+            w = _ray_probe(problem, root, witness_goal)
+        if w is not None and float(w.ratio.lo) > UNBOUNDED_AT:
             return _Side(floor=-INF, incumbent=-float(w.ratio.lo), witness=w,
                          unbounded=True, timed_out=False, boxes=0)
-        if problem.chart == "far":
-            w = _ray_probe(problem, root, False, witness_goal)
-            if w is not None:
-                return _Side(floor=-INF, incumbent=-float(w.ratio.lo),
-                             witness=w, unbounded=True, timed_out=False, boxes=0)
     return None
 
 

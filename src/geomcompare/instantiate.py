@@ -16,6 +16,7 @@ nondegenerate and satisfies the sign conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -88,15 +89,18 @@ class Figure:
     precision: Fraction
 
 
-def cos_choices(n: int) -> list[Fraction | AlgebraicNumber]:
+@functools.cache
+def cos_choices(n: int) -> tuple[Fraction | AlgebraicNumber, ...]:
     """Real choices for the exterior-angle cosine of a regular n-chain,
-    ascending (for n=5 both the star and the convex variant)."""
+    ascending (for n=5 both the star and the convex variant). Cached:
+    `AlgebraicNumber.refined` returns a new number, so callers never
+    change the shared roots."""
     from .construction import EXTERIOR_COS_MINPOLY
     from .polynomials import poly_from_univariate
     coeffs = EXTERIOR_COS_MINPOLY[n]
     if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
-    return list(isolate_real_roots(poly_from_univariate(coeffs, "c")))
+        return (-coeffs[0] / coeffs[1],)
+    return tuple(isolate_real_roots(poly_from_univariate(coeffs, "c")))
 
 
 def evaluate_figure(t: Translation, coords: dict[str, ExactVal],

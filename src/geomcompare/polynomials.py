@@ -235,12 +235,6 @@ class Polynomial:
             acc = acc * replacement + parts.get(e, Polynomial.zero(self.vars))
         return acc
 
-    def substitute_many(self, repl: Mapping[str, "Polynomial"]) -> "Polynomial":
-        out = self
-        for name, r in repl.items():
-            out = out.substitute(name, r)
-        return out
-
     # -- univariate helpers ---------------------------------------------
 
     def univariate_in(self) -> Optional[str]:
@@ -322,9 +316,6 @@ class TermOrder:
             raise ValueError("zero polynomial has no leading term")
         mono = max(p.terms, key=self.key)
         return mono, p.terms[mono]
-
-    def sorted_monomials(self, p: Polynomial) -> list[Exponents]:
-        return sorted(p.terms, key=self.key, reverse=True)
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:

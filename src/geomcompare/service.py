@@ -4,7 +4,8 @@ endpoint.
 GET /euclideansolver?lhs=w1&rhs=v11&polys=...&vars=...&posvariables=...
     runs the certified-bounds search over the wire polynomial system and
     answers in the bound grammar ("m > 3/2"). The first four variables of
-    `vars` are pinned to 0,0,1,0.
+    `vars` are pinned to 0,0,1,0. A system the search cannot compile (more
+    than two unbounded coordinates, say) gets 422.
 
 POST /compare
     accepts a .gct construction body (UTF-8, at most MAX_BODY bytes, with a
@@ -19,7 +20,7 @@ from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .bounds import branch_and_bound, compile_charts
+from .bounds import CompileError, branch_and_bound, compile_charts
 from .construction import ConstructionProgram, GctError, TaggedPoly, Translation
 from .pipeline import (
     CompareConfig,
@@ -189,6 +190,9 @@ def make_handler(timeout: float):
                 body = solve_wire(params, timeout)
             except (WireError, PolynomialParseError) as e:
                 self._send(400, f"bad request: {e}")
+                return
+            except CompileError as e:
+                self._send(422, f"not searchable: {e}")
                 return
             except Exception as e:
                 self._send(500, f"error: {e}")

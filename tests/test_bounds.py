@@ -7,6 +7,7 @@ import pytest
 
 from geomcompare.bounds import (
     Box,
+    CompileError,
     branch_and_bound,
     compile_charts,
     evaluate_box,
@@ -19,6 +20,7 @@ from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import ratio_sample
 from geomcompare.float_intervals import FI
 from geomcompare.intervals import Interval
+from geomcompare.pipeline import CompareConfig, compare_source
 from geomcompare.presolve import presolve
 
 mpmath.mp.dps = 40
@@ -135,6 +137,46 @@ def test_deterministic_single_worker():
                          Fraction(1, 10 ** 6), time.monotonic() + 5)
     assert a.inf.exact.render() == b.inf.exact.render() == "1/2"
     assert a.inf.attainment == b.inf.attainment
+
+
+@pytest.mark.parametrize("name, boxes", [
+    ("pythagoras_relaxed", 149),
+    ("euler_inequality_isosceles", 258),
+    ("pentagon_diagonal_convex", 204),
+    ("right_triangle_perimeter_vs_circumradius", 1341),
+])
+def test_search_box_counts(name, boxes):
+    """Boxes to certify do not depend on the machine: a change to the
+    search rules that moves them shows here."""
+    res = branch_and_bound(_charts(name), deadline=time.monotonic() + 30)
+    assert not res.timed_out
+    assert res.boxes == boxes
+
+
+# -- unbounded evidence ----------------------------------------------------------
+
+def test_large_inf_is_not_unbounded_evidence():
+    """The inf of 3e9*(a+b)/c is 3e9, a limit: a large positive incumbent
+    is no evidence that the inf is unbounded below."""
+    src = ("point A\npoint B\npoint C\nsegment a B C\nsegment b C A\n"
+           "segment c A B\ncompare 3000000000*a+3000000000*b vs c")
+    result = compare_source(src, CompareConfig(timeout=2.0, mode="bounds"))
+    assert result.bounds is not None
+    assert result.bounds.inf.attainment != "unbounded-evidence"
+    assert result.bounds.sup.attainment == "unbounded-evidence"
+
+
+def test_more_than_two_unbounded_coordinates_refused():
+    """With C and D both free the near chart covers only |x| <= 8, so the
+    search would leave part of the plane out: compilation refuses."""
+    src = ("point A\npoint B\npoint C\npoint D\nsegment e C D\n"
+           "segment f A B\ncompare e+f vs e")
+    t, _ = presolve(translate(parse_construction(src)))
+    with pytest.raises(CompileError, match="unbounded coordinates"):
+        compile_charts(t)
+    result = compare_source(src, CompareConfig(timeout=2.0, mode="bounds"))
+    assert result.variant == "inconclusive"
+    assert result.reason == "compile-error"
 
 
 # -- agreement with the elimination path --------------------------------------

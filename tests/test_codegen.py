@@ -296,7 +296,7 @@ class Reference:
                     return None
             if gain < 0.01:
                 break
-        return Box(ivs, box.depth)
+        return Box(ivs)
 
 
 def map_real_line_grad(s):

@@ -61,6 +61,17 @@ def test_wire_malformed_polynomial(server):
     assert e.value.code == 400
 
 
+def test_wire_too_many_unbounded_coordinates(server):
+    # C = (v5, v6) and D = (v7, v8) both free: four unbounded coordinates
+    with pytest.raises(urllib.error.HTTPError) as e:
+        _get(server, {"lhs": "w1", "rhs": "e",
+                      "polys": "-e^2+(v7-v5)^2+(v8-v6)^2,"
+                               "-f^2+(v3-v1)^2+(v4-v2)^2,-w1+e+f",
+                      "vars": "v1,v2,v3,v4,v5,v6,v7,v8,e,f,w1",
+                      "posvariables": "e,f"})
+    assert e.value.code == 422
+
+
 def test_post_compare_document(server):
     src = open("benchmarks/pythagoras_right.gct").read()
     req = urllib.request.Request(f"{server}/compare", data=src.encode())
