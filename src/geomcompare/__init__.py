@@ -5,7 +5,7 @@ finds certified sharp constants m, M with m * w1 <= w2 <= M * w1 by interval
 branch-and-bound over the construction's configuration space.
 """
 
-from .algebraic import AlgebraicNumber, RadicalForm, approx_decimal, isolate_real_roots, refine, to_radical
+from .algebraic import AlgebraicNumber, RadicalForm, approx_decimal, isolate_real_roots, to_radical
 from .bounds import BoundsResult, SideResult, branch_and_bound, compile_charts, exactify
 from .construction import (
     ConstructionProgram,
@@ -32,6 +32,6 @@ __all__ = [
     "eliminate", "eliminate_to_mu", "eval_interval", "exactify",
     "isolate_real_roots", "numeric_crosscheck", "parse_construction",
     "parse_polynomial", "pin_coordinates", "presolve", "reduce_poly",
-    "refine", "render", "s_polynomial", "solve_mu", "statement_polys",
+    "render", "s_polynomial", "solve_mu", "statement_polys",
     "to_radical", "translate",
 ]

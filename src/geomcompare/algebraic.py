@@ -318,10 +318,6 @@ def count_real_roots(p: Polynomial) -> int:
     return _variations_inf(chain, False) - _variations_inf(chain, True)
 
 
-def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
-    return a.refined(width)
-
-
 # ---------------------------------------------------------------------------
 # radical forms
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radi
 from .construction import Translation
 from .boxcode import BoxEval, compile_evaluator, evaluator_source
 from .float_intervals import FI, INF
-from .instantiate import DegenerateInstance, ExactVal, exact_interval, solve_for
-from .intervals import Interval, eval_poly_interval, sqrt_interval
+from .instantiate import ExactVal, exact_interval, solve_for
+from .intervals import Interval, NegativeRadicandError, eval_poly_interval, sqrt_interval
 from .polynomials import Polynomial, poly_from_univariate
 
 UNBOUNDED_AT = 1e9         # incumbent beyond this is unbounded evidence
@@ -49,11 +49,19 @@ class SqrtDef:
     var: str
     radicand: Polynomial
 
+    @property
+    def deps(self) -> set[str]:
+        return self.radicand.support()
+
 @dataclass(frozen=True)
 class LinearDef:
     var: str
     num: Polynomial
     den: Polynomial
+
+    @property
+    def deps(self) -> set[str]:
+        return self.num.support() | self.den.support()
 
 Def = Union[SqrtDef, LinearDef]
 
@@ -75,7 +83,6 @@ class BoundProblem:
     margins: list[Polynomial]
     obj_num: Polynomial
     obj_den: Polynomial
-    posvars: set[str]
     chart: str = "near"
 
     def __post_init__(self):
@@ -89,10 +96,8 @@ class BoundProblem:
         # the definition chain) — undecided conditions get split priority
         dep_dims: dict[str, set[int]] = {d.var: {i} for i, d in enumerate(self.dims)}
         for d in self.defs:
-            deps = d.radicand.support() if isinstance(d, SqrtDef) \
-                else d.num.support() | d.den.support()
             dep_dims[d.var] = set()
-            for w in deps:
+            for w in d.deps:
                 dep_dims[d.var] |= dep_dims.get(w, set())
         self.signcond_dims = []
         for p, _ in self.signconds:
@@ -270,7 +275,7 @@ def compile_problem(t: Translation,
     ordered = _toposort(defs)
     return BoundProblem(dims=dims, defs=ordered, constraints=constraints,
                         signconds=signconds, margins=margins,
-                        obj_num=num, obj_den=den, posvars=set(t.posvars))
+                        obj_num=num, obj_den=den)
 
 
 def compile_charts(t: Translation,
@@ -394,8 +399,7 @@ def _far_chart(near: BoundProblem, pair: list[str],
             dims.append(d)
     return BoundProblem(dims=dims, defs=new_defs, constraints=constraints,
                         signconds=signconds, margins=margins,
-                        obj_num=num, obj_den=den, posvars=set(near.posvars),
-                        chart="far")
+                        obj_num=num, obj_den=den, chart="far")
 
 
 def _even_substitute(p: Polynomial, sqrt_map: dict[str, Polynomial]) -> Polynomial:
@@ -448,10 +452,7 @@ def _prune_defs(defs: list[Def], constraints, objectives, signconds, margins):
         if v in keep:
             continue
         keep.add(v)
-        d = by_var[v]
-        deps = d.radicand.support() if isinstance(d, SqrtDef) \
-            else d.num.support() | d.den.support()
-        frontier.extend(w for w in deps if w in by_var)
+        frontier.extend(w for w in by_var[v].deps if w in by_var)
     return [d for d in defs if d.var in keep]
 
 
@@ -467,9 +468,7 @@ def _toposort(defs: list[Def]) -> list[Def]:
             raise CompileError(f"cyclic definition through {v}")
         state[v] = 1
         d = by_var[v]
-        deps = d.radicand.support() if isinstance(d, SqrtDef) \
-            else d.num.support() | d.den.support()
-        for w in sorted(deps):
+        for w in sorted(d.deps):
             visit(w)
         state[v] = 2
         out.append(d)
@@ -644,7 +643,6 @@ def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
 class Witness:
     ratio: Interval              # exact rational enclosure of the achieved ratio
     margin: float                # distance from the nondegeneracy boundary
-    values: dict[str, ExactVal]
 
 
 _WITNESS_WINDOWS = ((1, 3), (5, 7))  # eighths
@@ -664,7 +662,9 @@ def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
 def witness_for_box(problem: BoundProblem, box: Box,
                     goal: Fraction = Fraction(1, 10 ** 9)) -> Optional[Witness]:
     """Build a configuration inside the box satisfying every constraint
-    exactly, then evaluate the ratio with rational interval arithmetic.
+    exactly: each constraint is solved for one dimension, the others take
+    small rationals. The definition chain is then evaluated once, from the
+    dimension values, and the ratio with rational interval arithmetic.
     A second attempt samples a higher window and flips the claim
     orientation, in case the first exact point sits on a degeneracy or
     outside a thin feasible sliver."""
@@ -703,175 +703,84 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
     for var, rng in x_ranges.items():
         if var not in claimed:
             values[var] = _simple_point_in(rng, bias)
-
-    def fill_defs():
-        # definition values become available as their dependencies resolve,
-        # letting constraints that mention defined quantities be solved
-        for d in problem.defs:
-            if d.var in values:
-                continue
-            v = _def_value(d, values)
-            if v is not None:
-                values[d.var] = v
+    # quotients of rational values (a far chart's constant direction `_cs`),
+    # for constraints that mention them
+    for d in problem.defs:
+        if isinstance(d, LinearDef) and \
+                all(isinstance(values.get(v), Fraction) for v in d.deps):
+            num, den = d.num.evaluate(values), d.den.evaluate(values)
+            if num == 0:
+                values[d.var] = Fraction(0)
+            elif den != 0:
+                values[d.var] = num / den
 
     # solve claims, later declarations first resolved when dependencies known
     pending = list(claims)
     guard = 0
-    while pending:
-        guard += 1
-        if guard > 3 * len(claims) + 3:
-            return None
-        fill_defs()
-        poly, target = pending.pop(0)
-        others = [v for v in poly.support() if v != target]
-        if all(isinstance(values.get(v), Fraction) for v in others):
-            roots = solve_for(poly, target, values)
-            if roots is None:
-                values[target] = _simple_point_in(x_ranges[target], bias)
-                continue
-            inside = [r for r in roots
-                      if exact_interval(r, Fraction(1, 2 ** 40)).intersects(
-                          x_ranges[target])]
-            if not inside:
+    try:
+        while pending:
+            guard += 1
+            if guard > 3 * len(claims) + 3:
                 return None
-            values[target] = inside[len(inside) // 2]
-            continue
-        if all(v in values for v in others):
-            # quadratic-in-target with algebraic dependencies: target^2 = Q
+            poly, target = pending.pop(0)
+            rng = x_ranges[target]
+            others = [v for v in poly.support() if v != target]
+            if all(isinstance(values.get(v), Fraction) for v in others):
+                roots = solve_for(poly, target, values)
+                if roots is None:
+                    values[target] = _simple_point_in(rng, bias)
+                    continue
+                inside = [r for r in roots if _meets(r, rng)]
+                if not inside:
+                    return None
+                values[target] = inside[len(inside) // 2]
+                continue
+            if not all(v in values for v in others):
+                pending.append((poly, target))
+                continue
+            # target^2 = Q with algebraic dependencies: the root of the sign
+            # that meets the box, the side the range reaches tried first
             parts = poly.coefficient_map(target)
-            if set(parts) <= {0, 2} and 2 in parts and parts[2].is_constant():
-                c = parts[2].constant_value()
-                q = parts.get(0, Polynomial.zero(poly.vars)) * (-1 / c)
-
-                def closure(precision: Fraction, q=q, rng=x_ranges[target]):
-                    envq = {v: exact_interval(values[v], precision)
-                            for v in q.support()}
-                    body = sqrt_interval(eval_poly_interval(q, envq), precision)
-                    return body if rng.hi > 0 else -body
-
-                values[target] = closure
-                continue
-            try:
-                root = _bracket_root(poly, target, dict(values), x_ranges[target])
-            except DegenerateInstance:
+            if not (set(parts) <= {0, 2} and 2 in parts and parts[2].is_constant()):
                 return None
+            q = parts.get(0, Polynomial.zero(poly.vars)) * (-1 / parts[2].constant_value())
+            signs = (1, -1) if rng.hi > 0 else (-1, 1)
+            root = next((r for r in (_signed_sqrt(q, values, s) for s in signs)
+                         if _meets(r, rng)), None)
             if root is None:
                 return None
             values[target] = root
-            continue
-        pending.append((poly, target))
-    fill_defs()
-    try:
-        return _evaluate_witness(problem, values, goal)
-    except DegenerateInstance:
+        return _evaluate_witness(
+            problem, {d.var: values[d.var] for d in problem.dims}, goal)
+    except NegativeRadicandError:       # a square-root claim below zero
         return None
 
 
-def _def_value(d: Def, values: dict[str, ExactVal]):
-    """Exact value of a definition given exact dependency values: rational
-    when everything is rational, otherwise a refinable interval closure."""
-    deps = d.radicand.support() if isinstance(d, SqrtDef) \
-        else d.num.support() | d.den.support()
-    if not all(v in values for v in deps):
-        return None
-    rational = all(isinstance(values[v], Fraction) for v in deps)
-    if isinstance(d, LinearDef) and rational:
-        den = d.den.evaluate({v: values[v] for v in d.den.support()})
-        if den == 0:
-            num = d.num.evaluate({v: values[v] for v in d.num.support()})
-            return Fraction(0) if num == 0 else None
-        num = d.num.evaluate({v: values[v] for v in d.num.support()})
-        return num / den
-    snapshot = {v: values[v] for v in deps}
-
-    if isinstance(d, SqrtDef):
-        def closure(precision: Fraction, d=d, snapshot=snapshot) -> Interval:
-            env = {v: exact_interval(x, precision) for v, x in snapshot.items()}
-            return sqrt_interval(eval_poly_interval(d.radicand, env), precision)
-        return closure
-
-    def closure(precision: Fraction, d=d, snapshot=snapshot) -> Interval:
-        env = {v: exact_interval(x, precision) for v, x in snapshot.items()}
-        num = eval_poly_interval(d.num, env)
-        den = eval_poly_interval(d.den, env)
-        if den.lo <= 0 <= den.hi:
-            if num.lo == 0 == num.hi:
-                return Interval.point(0)
-            raise DegenerateInstance("division by vanishing denominator")
-        return num / den
-
-    return closure
+def _meets(v: ExactVal, rng: Interval) -> bool:
+    """Whether v, enclosed at 2^-40, meets the range: the root-in-box test."""
+    return exact_interval(v, Fraction(1, 2 ** 40)).intersects(rng)
 
 
-def _bracket_root(poly: Polynomial, target: str, deps: dict[str, ExactVal],
-                  rng: Interval, samples: int = 33):
-    """A refinable root of poly(target)=0 inside rng, the other variables
-    held at exact (possibly algebraic) values: locate a certified sign
-    change by sampling, then bisect on demand."""
-
-    def sign_at(t: Fraction, precision: Fraction) -> int:
-        env = {v: exact_interval(x, precision) for v, x in deps.items()}
-        env[target] = Interval.point(t)
-        iv = eval_poly_interval(poly, env)
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-        return 0
-
-    def decided_sign(t: Fraction) -> int:
-        precision = Fraction(1, 2 ** 48)
-        for _ in range(4):
-            s = sign_at(t, precision)
-            if s:
-                return s
-            precision = precision * precision
-        return 0
-
-    if rng.width() == 0:
-        return rng.lo if decided_sign(rng.lo) == 0 else None
-    points = [rng.lo + rng.width() * Fraction(i, samples - 1)
-              for i in range(samples)]
-    signs = [decided_sign(t) for t in points]
-    bracket = None
-    for i in range(len(points) - 1):
-        if signs[i] == 0:
-            return points[i]          # exact rational root
-        if signs[i + 1] and signs[i] != signs[i + 1]:
-            bracket = (points[i], points[i + 1], signs[i])
-            break
-    if bracket is None:
-        return points[-1] if signs and signs[-1] == 0 else None
-    lo, hi, slo = bracket
-
-    state = {"lo": lo, "hi": hi, "slo": slo}
-
+def _signed_sqrt(q: Polynomial, values: dict[str, ExactVal],
+                 sign: int) -> Callable[[Fraction], Interval]:
+    """sign * sqrt(q) as a refinable closure, q's variables at exact values."""
     def closure(precision: Fraction) -> Interval:
-        lo, hi, slo = state["lo"], state["hi"], state["slo"]
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            s = decided_sign(mid)
-            if s == 0:
-                lo = hi = mid
-                break
-            if s == slo:
-                lo = mid
-            else:
-                hi = mid
-        state.update(lo=lo, hi=hi, slo=slo)
-        return Interval(lo, hi)
-
+        env = {v: exact_interval(values[v], precision) for v in q.support()}
+        body = sqrt_interval(eval_poly_interval(q, env), precision)
+        return body if sign > 0 else -body
     return closure
 
 
-def _evaluate_witness(problem: BoundProblem, values: dict[str, ExactVal],
+def _evaluate_witness(problem: BoundProblem, dim_values: dict[str, ExactVal],
                       goal: Fraction) -> Optional[Witness]:
+    """The witness of exact dimension values: evaluate the definition chain
+    from them, then the constraints, sign conditions, margins and ratio;
+    square the precision and evaluate again (five precisions at most) while
+    a test is undecided or the ratio is wider than goal."""
     precision = Fraction(1, 2 ** 64)
     for _ in range(5):
-        env: dict[str, Interval] = {}
         ok = True
-        for var, v in values.items():
-            env[var] = exact_interval(v, precision)
+        env = {var: exact_interval(v, precision) for var, v in dim_values.items()}
         for d in problem.defs:
             if isinstance(d, SqrtDef):
                 rad = eval_poly_interval(d.radicand, env)
@@ -932,7 +841,7 @@ def _evaluate_witness(problem: BoundProblem, values: dict[str, ExactVal],
             # the projective radius measures how far toward infinity the
             # configuration sits: a bound approached as rho -> 0 is a limit
             margin = min(margin, abs(float(env["_rho"].mid())))
-        return Witness(ratio=ratio, margin=margin, values=values)
+        return Witness(ratio=ratio, margin=margin)
     return None
 
 

@@ -10,7 +10,6 @@ from geomcompare.algebraic import (
     approx_decimal,
     count_real_roots,
     isolate_real_roots,
-    refine,
     to_radical,
 )
 from geomcompare.intervals import Interval
@@ -60,9 +59,9 @@ def test_rational_roots_exact():
 def test_refine_width_and_idempotence():
     root = [r for r in isolate_real_roots(U([-2, 0, 1], "x")) if r.sign > 0][0]
     w = Fraction(1, 10 ** 10)
-    a = refine(root, w)
+    a = root.refined(w)
     assert a.isolating.width() <= w
-    assert refine(a, w).isolating == a.isolating
+    assert a.refined(w).isolating == a.isolating
     assert a.isolating.contains(Fraction(14142135623, 10 ** 10)) or \
         a.isolating.contains(Fraction(14142135624, 10 ** 10))
 
@@ -70,7 +69,7 @@ def test_refine_width_and_idempotence():
 def test_refine_rational_degenerate():
     r = isolate_real_roots(U([-3, 2], "x"))[0]
     assert r.rational_value() == Fraction(3, 2)
-    assert refine(r, Fraction(1, 10)).isolating == Interval.point(Fraction(3, 2))
+    assert r.refined(Fraction(1, 10)).isolating == Interval.point(Fraction(3, 2))
 
 
 # -- radicals ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import glob
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from geomcompare.bounds import (
     hull_contract,
     simplest_rational_in,
     split_box,
+    witness_for_box,
 )
 from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import ratio_sample
@@ -196,6 +198,38 @@ def test_agreement_with_exact_ratio(name):
     for cand in exact.candidates:
         v = cand.value.refined(Fraction(1, 10 ** 9)).isolating
         assert v.hi >= lo - slack and v.lo <= hi + slack
+
+
+# -- witnesses --------------------------------------------------------------------
+
+def test_witnesses_lie_in_their_boxes():
+    """A witness is a configuration inside its box: the box is not certified
+    infeasible and its enclosure meets the witness ratio. Boxes are seeded
+    bisections of every chart of the example constructions; on
+    pentagon_diagonal's near chart the claim v12^2 = 1 - v11^2 (v11 an
+    algebraic cosine) must take the root of the sign inside the box."""
+    rng = random.Random(3)
+    for path in sorted(glob.glob("benchmarks/*.gct")):
+        t, _ = presolve(translate(parse_construction(open(path).read())))
+        try:
+            charts = compile_charts(t)
+        except CompileError:
+            continue
+        for problem in charts:
+            for _ in range(24):
+                ivs = [FI(d.lo, d.hi) for d in problem.dims]
+                for _ in range(rng.randint(0, 6)):
+                    i = rng.randrange(len(ivs))
+                    m = ivs[i].mid()
+                    ivs[i] = FI(ivs[i].lo, m) if rng.random() < 0.5 else FI(m, ivs[i].hi)
+                w = witness_for_box(problem, Box(ivs))
+                if w is None:
+                    continue
+                ev = evaluate_box(problem, Box(ivs))
+                where = (path, problem.chart, ivs, float(w.ratio.lo))
+                assert ev.status != "infeasible", where
+                if ev.ratio is not None:
+                    assert w.ratio.lo <= ev.ratio.hi and ev.ratio.lo <= w.ratio.hi, where
 
 
 # -- projective chart at infinity ---------------------------------------------

@@ -599,7 +599,7 @@ def test_huge_coefficient_compiles_and_encloses_the_whole_line():
     x = Polynomial.variable("x", ("x",))
     problem = BoundProblem(dims=[Dim("x", False, -1.0, 1.0)], defs=[], constraints=[],
                            signconds=[], margins=[], obj_num=x * 10 ** 400,
-                           obj_den=Polynomial.constant(1, ("x",)), posvars=set())
+                           obj_den=Polynomial.constant(1, ("x",)))
     assert "NINF" in problem.evaluator_source
     assert "inf" not in problem.evaluator_source.replace("INF", "")
     for ivs in ([FI(-1.0, 1.0)], [FI(0.5, 1.0)], [FI(0.25, 0.25)]):
