@@ -11,10 +11,22 @@ a higher degree is Sturm-isolated, each interval narrowed below 1/an and
 the one multiple of 1/an inside it tested exactly. The search is
 complete and its cost does not depend on factoring any coefficient. The
 rational roots are deflated out and the rest isolated by Sturm bisection.
+
+Isolation and refinement are bisections: every interval is a dyadic cell
+of the one it came from. For a root r = (-c1 + s*sqrt(D)) / (2 c2) of a
+quadratic with integer coefficients and a positive non-square
+discriminant, k halvings of (lo, hi) end on the cell with index
+floor(2^k (r - lo) / (hi - lo)), found with one integer square root
+(`_quadratic_cell`); Sturm isolation, the refinement that moves rational
+points out of an isolating interval, and `AlgebraicNumber.refined` compute
+it so. The intervals are those of the bisection, bit for bit; every other
+polynomial is bisected, and the bisection stays the reference the closed
+forms are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,10 +148,23 @@ def _primitive_integer(c: Coeffs) -> Coeffs:
 
 def _sturm_intervals(c: Coeffs) -> list[tuple[Fraction, Fraction]]:
     """Intervals (a, b], each holding exactly one root of the squarefree
-    `c`, by bisection of the Cauchy interval on Sturm counts."""
-    chain = _sturm_chain(c)
+    `c`, by bisection of the Cauchy interval on Sturm counts, in the
+    bisection's order (a right half is searched before its left half).
+    An irreducible quadratic's two roots end in the two sibling cells of
+    the first depth at which their cells differ, computed in closed form."""
     bound = Fraction(1) + max(abs(x) for x in c[:-1]) / abs(c[-1]) \
         if len(c) > 1 else Fraction(1)
+    q = _irrational_quadratic(c)
+    if q is not None:
+        # 2^depth > span*c2 makes a cell narrower than the root gap sqrt(D)/c2
+        lo, span = -bound, 2 * bound
+        depth = math.ceil(span * q[2]).bit_length()
+        left = _quadratic_cell(q, -1, lo, span, depth)
+        right = _quadratic_cell(q, 1, lo, span, depth)
+        shift = (left ^ right).bit_length() - 1
+        return [_cell(lo, span, depth - shift, right >> shift),
+                _cell(lo, span, depth - shift, left >> shift)]
+    chain = _sturm_chain(c)
     total = _variations_inf(chain, False) - _variations_inf(chain, True)
     stack = [(-bound, bound)]
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -193,6 +218,64 @@ def _rational_roots(c: Coeffs) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# irrational quadratic roots in closed form
+# ---------------------------------------------------------------------------
+
+Quadratic = tuple[int, int, int, int]   # (c0, c1, c2, D), c2 > 0
+
+
+def _irrational_quadratic(c: Coeffs) -> Optional[Quadratic]:
+    """(c0, c1, c2, D) with c2 > 0 for a degree-2 `c` with integer
+    coefficients and a positive non-square discriminant D, else None. Its
+    roots (-c1 + s*sqrt(D)) / (2 c2), s = -1 and +1, are irrational, so
+    bisection never lands on one."""
+    if len(c) != 3 or any(x.denominator != 1 for x in c):
+        return None
+    c0, c1, c2 = (int(x) for x in c)
+    if c2 < 0:
+        c0, c1, c2 = -c0, -c1, -c2
+    d = c1 * c1 - 4 * c2 * c0
+    if d <= 0 or math.isqrt(d) ** 2 == d:
+        return None
+    return c0, c1, c2, d
+
+
+def _quadratic_cell(q: Quadratic, s: int, lo: Fraction, span: Fraction,
+                    depth: int) -> int:
+    """j = floor(2^depth (r - lo) / span) for r = (-c1 + s*sqrt(D)) / (2 c2):
+    the cell of (lo, lo + span) that `depth` halvings toward r end on. With
+    integers P, Q and R > 0, j = floor((P + s*sqrt(Q)) / R), and
+    floor(x / R) = floor(floor(x) / R) takes one integer square root."""
+    _, c1, c2, d = q
+    ln, ld = lo.numerator, lo.denominator
+    scale = span.denominator << depth
+    p = -scale * (c1 * ld + 2 * c2 * ln)
+    root = math.isqrt(scale * scale * ld * ld * d)   # sqrt(Q) is irrational
+    return (p + (root if s > 0 else -root - 1)) // (2 * c2 * ld * span.numerator)
+
+
+def _cell(lo: Fraction, span: Fraction, depth: int, j: int) -> tuple[Fraction, Fraction]:
+    """The j-th of the 2^depth equal cells of (lo, lo + span)."""
+    den = (lo.denominator * span.denominator) << depth
+    num = (lo.numerator * span.denominator << depth) + j * span.numerator * lo.denominator
+    step = span.numerator * lo.denominator
+    return Fraction(num, den), Fraction(num + step, den)
+
+
+def _quadratic_branch(q: Quadratic, lo: Fraction, hi: Fraction) -> int:
+    """s of the one root of q inside (lo, hi), or 0 when q does not change
+    sign there (no root or both roots). With c2 > 0, q(lo) > 0 puts lo left
+    of the smaller root."""
+    c0, c1, c2, _ = q
+    def sign_at(x: Fraction) -> int:
+        n, m = x.numerator, x.denominator
+        v = (c2 * n + c1 * m) * n + c0 * m * m
+        return (v > 0) - (v < 0)
+    at_lo = sign_at(lo)
+    return -at_lo if at_lo * sign_at(hi) < 0 else 0
+
+
+# ---------------------------------------------------------------------------
 # algebraic numbers
 # ---------------------------------------------------------------------------
 
@@ -219,14 +302,32 @@ class AlgebraicNumber:
     def _coeffs(self) -> Coeffs:
         return self.minpoly.univariate_coeffs(self.var)
 
+    @functools.cached_property
+    def _quadratic(self) -> Optional[Quadratic]:
+        return _irrational_quadratic(self._coeffs())
+
     def refined(self, width: Fraction) -> "AlgebraicNumber":
-        """Shrink the isolating interval to the given width; same root."""
+        """Shrink the isolating interval to the given width; same root.
+
+        Bisection halves the interval k times, k the least with
+        width(iv) / 2^k <= width, each time keeping the half on which the
+        minimal polynomial changes sign. For a root of an irrational
+        quadratic (`_irrational_quadratic`) that changes sign on the
+        interval, the cell those halvings end on is computed in closed form
+        instead; it is the bisection's interval bit for bit."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
         iv = self.isolating
         if iv.width() <= width or self.is_rational():
             return self
+        q = self._quadratic
+        s = _quadratic_branch(q, iv.lo, iv.hi) if q else 0
+        if s:
+            span = iv.width()
+            depth = (math.ceil(span / width) - 1).bit_length()
+            cell = _cell(iv.lo, span, depth, _quadratic_cell(q, s, iv.lo, span, depth))
+            return AlgebraicNumber(self.minpoly, Interval(*cell), self.sign)
         c = self._coeffs()
         lo, hi = iv.lo, iv.hi
         flo = _eval(c, lo)
@@ -255,7 +356,13 @@ def _sign_of(x: Fraction) -> int:
 
 
 def isolate_real_roots(p: Polynomial) -> list[AlgebraicNumber]:
-    """All distinct real roots, increasing, rational roots exact."""
+    """All distinct real roots, increasing, rational roots exact.
+
+    An irrational root's interval is the Sturm bisection cell, refined by
+    quarters until it holds no rational root, no earlier root's left
+    endpoint and not zero, so its sign is that of its endpoints. For an
+    irrational quadratic both steps are computed in closed form and give
+    the bisection's intervals bit for bit."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     name = p.univariate_in() or (p.vars[0] if p.vars else "x")
@@ -289,19 +396,41 @@ def isolate_real_roots(p: Polynomial) -> list[AlgebraicNumber]:
     if _degree(coeffs) >= 1:
         minpoly = poly_from_univariate(coeffs, name)
         for a, b in _sturm_intervals(coeffs):
-            alg = AlgebraicNumber(minpoly, Interval(a, b), 0)
-            # exclude already-found rational points and determine the sign
-            for r in [x.isolating.lo for x in roots]:
-                while alg.isolating.contains(r):
-                    alg = alg.refined(alg.isolating.width() / 4)
-            while alg.isolating.contains(0):
-                alg = alg.refined(alg.isolating.width() / 4)
+            # exclude the rational roots, the earlier roots' left endpoints
+            # and zero, then read off the sign
+            alg = _excluding(AlgebraicNumber(minpoly, Interval(a, b), 0),
+                             [x.isolating.lo for x in roots] + [Fraction(0)])
             sign = 1 if alg.isolating.lo > 0 else -1
             alg = AlgebraicNumber(alg.minpoly, alg.isolating, sign)
             roots.append(alg)
 
     roots.sort(key=lambda a: (a.isolating.lo, a.isolating.hi))
     return roots
+
+
+def _excluding(alg: AlgebraicNumber, points: list[Fraction]) -> AlgebraicNumber:
+    """`alg` refined by quarters (two halvings at a time) until its closed
+    interval holds none of `points`, none of which is the root. For an
+    irrational quadratic root the depth is found on cell indices in closed
+    form, with the same end interval."""
+    iv = alg.isolating
+    q = alg._quadratic
+    s = _quadratic_branch(q, iv.lo, iv.hi) if q else 0
+    if not s:
+        while any(alg.isolating.contains(r) for r in points):
+            alg = alg.refined(alg.isolating.width() / 4)
+        return alg
+    # the depth-k cell [lo + j*span/2^k, lo + (j+1)*span/2^k] holds
+    # lo + u*span exactly when j <= 2^k u <= j + 1
+    lo, span = iv.lo, iv.width()
+    scaled = [(r - lo) / span for r in points]
+    depth = 0
+    while True:
+        j = _quadratic_cell(q, s, lo, span, depth)
+        if not any(j * u.denominator <= u.numerator << depth <= (j + 1) * u.denominator
+                   for u in scaled):
+            return AlgebraicNumber(alg.minpoly, Interval(*_cell(lo, span, depth, j)), alg.sign)
+        depth += 2
 
 
 def _normalized_linear(r: Fraction, name: str) -> Polynomial:
@@ -332,14 +461,20 @@ def _is_square(r: Fraction) -> Optional[Fraction]:
 
 
 def _extract_square(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree-ish (trial division)."""
-    s, d, i = 1, n, 2
-    while i * i <= d:
-        while d % (i * i) == 0:
-            d //= i * i
+    """(s, d) with n = s^2 * d and d squarefree, for n >= 1. Trial division
+    takes out every prime up to the cube root of what is left; the cofactor
+    then has at most two prime factors, so it is a square or squarefree."""
+    s, d, i = 1, 1, 2
+    while i * i * i <= n:
+        while n % (i * i) == 0:
+            n //= i * i
             s *= i
+        if n % i == 0:
+            n //= i
+            d *= i
         i += 1
-    return s, d
+    r = math.isqrt(n)
+    return (s * r, d) if r * r == n else (s, d * n)
 
 
 @dataclass(frozen=True)

@@ -262,3 +262,118 @@ def test_rational_roots_of_random_products_found_exactly():
             c = r.minpoly.univariate_coeffs(r.var)
             assert len(c) == 3
             assert _sign_at(c, r.isolating.lo) * _sign_at(c, r.isolating.hi) == -1
+
+
+# -- closed-form quadratic roots against Sturm bisection -------------------------
+
+import geomcompare.algebraic as algebraic
+
+WIDTHS = [Fraction(1, 2 ** 40), Fraction(1, 2 ** 64), Fraction(1, 10 ** 22),
+          Fraction(1, 2 ** 512)]
+
+
+def _fresh(a):
+    """The same number with nothing cached on it."""
+    return AlgebraicNumber(a.minpoly, a.isolating, a.sign)
+
+
+def _refinements(a):
+    out = [a.refined(w).isolating for w in WIDTHS]
+    for _ in range(6):
+        a = a.refined(a.isolating.width() / 4)
+        out.append(a.isolating)
+    return out
+
+
+def _roots_and_refinements(p):
+    """isolate_real_roots(p) as (minpoly, interval, sign) and the
+    refinements of each root, of the number as given and of the same root
+    under the negated minimal polynomial."""
+    out = []
+    for r in isolate_real_roots(p):
+        out.append((r.minpoly, r.isolating, r.sign))
+        if not r.is_rational():
+            negated = AlgebraicNumber(-r.minpoly, r.isolating, r.sign)
+            out += _refinements(_fresh(r)) + _refinements(negated)
+    return out
+
+
+@pytest.fixture
+def bisection(monkeypatch):
+    """Run a function with every closed form off: the Sturm bisection that
+    the closed forms reproduce."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(algebraic, "_irrational_quadratic", lambda c: None)
+            return fn(*args)
+    return run
+
+
+def _seeded_quadratics(n):
+    rng = random.Random(1010)
+    for _ in range(n):
+        mag = rng.choice([10, 10 ** 4, 10 ** 8])
+        c = [rng.randint(-mag, mag) for _ in range(2)] + \
+            [rng.choice([-1, 1]) * rng.randint(1, mag)]
+        if rng.random() < 0.3:      # rational coefficients
+            c = [Fraction(x, rng.randint(1, 99)) for x in c]
+        yield c
+
+
+def test_closed_form_quadratics_equal_bisection(bisection):
+    cases = list(_seeded_quadratics(60)) + [
+        [-1, 10 ** 8, 1], [1, -10 ** 8, 3],     # a root near 0
+        [-2, 0, 1], [-30011, 0, 40009], [-1, -1, 1]]
+    closed = 0
+    for c in cases:
+        p = U(c, "x")
+        assert _roots_and_refinements(p) == bisection(_roots_and_refinements, p)
+        closed += algebraic._irrational_quadratic(
+            algebraic._primitive_integer([Fraction(x) for x in c])) is not None
+    assert closed >= 40
+
+
+def test_closed_form_root_cell_touching_zero(bisection):
+    # roots about 1e-8 and -1e8: the small root's Sturm cell ends at 0, and
+    # it is refined by quarters until zero leaves its closed interval
+    coeffs = [Fraction(x) for x in (-1, 10 ** 8, 1)]
+    cells = algebraic._sturm_intervals(coeffs)
+    assert cells == bisection(algebraic._sturm_intervals, coeffs)
+    assert any(0 in cell for cell in cells)
+    small = [r for r in isolate_real_roots(U(coeffs, "x")) if r.sign > 0][0]
+    assert 0 < small.isolating.lo < small.isolating.hi < Fraction(1, 10 ** 7)
+
+
+def test_closed_form_negative_leading_coefficient(bisection):
+    # built directly, not normalised by isolate_real_roots
+    root = AlgebraicNumber(U([3, 5, -7], "x"), Interval(Fraction(1), Fraction(2)), 1)
+    got = _refinements(root)
+    assert got == bisection(_refinements, _fresh(root))
+    assert abs(float(got[0].lo) - (5 + math.sqrt(109)) / 14) < 1e-11
+
+
+def test_closed_form_fallbacks(bisection):
+    # a square discriminant: bisection lands on the rational root 2
+    square = AlgebraicNumber(U([-4, 0, 1], "x"), Interval(Fraction(1), Fraction(3)), 1)
+    assert square._quadratic is None
+    assert square.refined(Fraction(1, 2 ** 64)).isolating == Interval.point(2)
+    # non-integer coefficients: bisected, and the same cells as the
+    # integer minimal polynomial's closed form
+    half = AlgebraicNumber(U([-1, 0, Fraction(1, 2)], "x"), Interval(Fraction(1), Fraction(2)), 1)
+    whole = AlgebraicNumber(U([-2, 0, 1], "x"), half.isolating, 1)
+    assert half._quadratic is None and whole._quadratic is not None
+    assert _refinements(half) == _refinements(whole) == \
+        bisection(_refinements, _fresh(whole))
+    # an interval holding no root: no sign change, so bisected
+    empty = AlgebraicNumber(U([-2, 0, 1], "x"), Interval(Fraction(2), Fraction(3)), 1)
+    assert _refinements(empty) == bisection(_refinements, _fresh(empty))
+
+
+def test_extract_square_large_prime_square():
+    # 8 * p^2 with p = 10^9 + 7: trial division stops at the cube root
+    assert algebraic._extract_square(8 * 1000000007 ** 2) == (2 * 1000000007, 2)
+    assert algebraic._extract_square(1000000007 * 998244353) == (1, 1000000007 * 998244353)
+    for n in range(1, 2000):
+        s, d = algebraic._extract_square(n)
+        assert s * s * d == n
+        assert all(d % (k * k) for k in range(2, math.isqrt(d) + 1))

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from geomcompare import CompareConfig
 from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import (
     NoCandidateWitnessedError,
@@ -14,6 +16,7 @@ from geomcompare.exact_ratio import (
     solve_mu,
 )
 from geomcompare.instantiate import DegenerateInstance, sample_configuration
+from geomcompare.pipeline import compare_source
 from geomcompare.presolve import presolve
 from geomcompare.polynomials import parse_polynomial, poly_from_univariate, render
 
@@ -136,6 +139,17 @@ def test_square_and_hexagon():
     assert [c.radical.render() for c in sq.candidates] == ["sqrt(2)"]
     hexa = solve_mu(eliminate_to_mu(_prepared("hexagon_long_diagonal")))
     assert [c.value.rational_value() for c in hexa.candidates] == [2]
+
+
+def test_square_with_large_prime_weight_renders_within_seconds():
+    # the ratio's discriminant is 8*(10^9+7)^2; trial division up to its
+    # square root took minutes and did not see the comparison's timeout
+    src = open("benchmarks/square_diagonal.gct").read().replace(
+        "compare d vs f", "compare 1000000007*d vs f")
+    start = time.perf_counter()
+    result = compare_source(src, CompareConfig(timeout=30))
+    assert [c.radical.render() for c in result.exact.candidates] == ["1000000007*sqrt(2)"]
+    assert time.perf_counter() - start < 10
 
 
 def test_solve_mu_simple_cases():
