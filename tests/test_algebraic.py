@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomcompare.algebraic as algebraic
 from geomcompare.algebraic import (
     AlgebraicNumber,
     approx_decimal,
@@ -265,8 +266,6 @@ def test_rational_roots_of_random_products_found_exactly():
 
 
 # -- closed-form quadratic roots against Sturm bisection -------------------------
-
-import geomcompare.algebraic as algebraic
 
 WIDTHS = [Fraction(1, 2 ** 40), Fraction(1, 2 ** 64), Fraction(1, 10 ** 22),
           Fraction(1, 2 ** 512)]
