@@ -609,17 +609,15 @@ def to_radical(alg: AlgebraicNumber) -> Optional[RadicalForm]:
 
 def _quadratic_candidates(c2: Fraction, c1: Fraction, disc: Fraction) -> list[RadicalForm]:
     """Both branches of (-c1 ± sqrt(disc)) / (2 c2) as radical forms."""
-    out = []
     base = -c1 / (2 * c2)
     sd = _is_square(disc)
-    for s in (1, -1):
-        if sd is not None:
-            out.append(RadicalForm.rational(base + s * sd / (2 * c2)))
-        else:
-            # sqrt(num/den) = sqrt(num*den) / den
-            num, den = disc.numerator, disc.denominator
-            out.append(RadicalForm.surd(base, Fraction(s, 1) / (2 * c2 * den), num * den))
-    return out
+    if sd is not None:
+        return [RadicalForm.rational(base + s * sd / (2 * c2)) for s in (1, -1)]
+    # sqrt(num/den) = sqrt(num*den) / den = k*sqrt(d) / den, factored once
+    # for both branches; d > 1 because disc is not a square
+    k, d = _extract_square(disc.numerator * disc.denominator)
+    b = k / (2 * c2 * disc.denominator)
+    return [RadicalForm(base, b, d), RadicalForm(base, -b, d)]
 
 
 def _pick_branch(alg: AlgebraicNumber, candidates: list[RadicalForm]) -> Optional[RadicalForm]:

@@ -9,16 +9,17 @@ definitions. Remaining equations act as constraints: they prune boxes by
 interval evaluation and narrow them by hull consistency. Certified lower
 bounds come from the box enclosures (natural extension intersected with a
 first-order centered form); certified upper bounds come from witnesses,
-configurations built exactly inside a box and evaluated with rational
-interval arithmetic.
+configurations built exactly inside a box (every constraint solved exactly)
+whose ratio is enclosed over a float box around the exact point.
 
 Box evaluation is generated code: building a `BoundProblem` writes its
 definition chain, constraints, sign conditions, natural and centered forms
 and gradient table out as straight-line float code (`boxcode`) and loads it
-with `exec`. `evaluate_box` and `hull_contract` call it; their enclosures
-are bit-identical to `FI` arithmetic on the same formulas, so a search
-visits the same boxes as an interpreter would. `problem.evaluator_source`
-gives the source.
+with `exec`. `evaluate_box`, `hull_contract` and the witnesses call it, so a
+chart's definition chain is evaluated by this one piece of code. Its
+enclosures are bit-identical to `FI` arithmetic on the same formulas, so a
+search visits the same boxes as an interpreter would.
+`problem.evaluator_source` gives the source.
 """
 
 from __future__ import annotations
@@ -545,11 +546,13 @@ def _map_real_line(s: FI) -> FI:
 
 
 def _unmap_real_line(x_lo: float, x_hi: float) -> tuple[float, float]:
-    # s = (sqrt(1 + 4x^2) - 1) / (2x), odd and increasing; outward by ulps
+    # s = x / (1/2 + sqrt(1/4 + x^2)), odd and increasing; outward by ulps.
+    # This form of (sqrt(1 + 4x^2) - 1) / (2x) neither cancels for small |x|
+    # nor overflows for large |x|.
     def inv(x: float, direction: float) -> float:
         if x == 0.0:
             return 0.0
-        s = (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
+        s = x / (0.5 + math.hypot(0.5, x))
         for _ in range(3):
             s = math.nextafter(s, direction)
         return max(-1.0, min(1.0, s))
@@ -641,7 +644,7 @@ def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
 
 @dataclass
 class Witness:
-    ratio: Interval              # exact rational enclosure of the achieved ratio
+    ratio: Interval              # certified enclosure of the achieved ratio
     margin: float                # distance from the nondegeneracy boundary
 
 
@@ -649,9 +652,10 @@ _WITNESS_WINDOWS = ((1, 3), (5, 7))  # eighths
 
 
 def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
-    """A small-denominator rational inside the interval (keeps the exact
-    witness arithmetic cheap); bias picks the sampling window, the lower
-    or the upper quarter-width band, to step off a degeneracy."""
+    """A small-denominator rational inside the interval (keeps `solve_for`
+    cheap: the constraints are instantiated at these values before their
+    roots are isolated); bias picks the sampling window, the lower or the
+    upper quarter-width band, to step off a degeneracy."""
     if rng.width() == 0:
         return rng.lo
     w = rng.width()
@@ -659,24 +663,22 @@ def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
     return simplest_rational_in(rng.lo + w * a / 8, rng.lo + w * b / 8)
 
 
-def witness_for_box(problem: BoundProblem, box: Box,
-                    goal: Fraction = Fraction(1, 10 ** 9)) -> Optional[Witness]:
+def witness_for_box(problem: BoundProblem, box: Box) -> Optional[Witness]:
     """Build a configuration inside the box satisfying every constraint
     exactly: each constraint is solved for one dimension, the others take
-    small rationals. The definition chain is then evaluated once, from the
-    dimension values, and the ratio with rational interval arithmetic.
+    small rationals. The chart's generated evaluator then encloses the
+    ratio over a float box around the exact point (`_evaluate_witness`).
     A second attempt samples a higher window and flips the claim
     orientation, in case the first exact point sits on a degeneracy or
     outside a thin feasible sliver."""
     for bias in range(len(_WITNESS_WINDOWS)):
-        w = _witness_attempt(problem, box, goal, bias)
+        w = _witness_attempt(problem, box, bias)
         if w is not None:
             return w
     return None
 
 
-def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
-                     bias: int) -> Optional[Witness]:
+def _witness_attempt(problem: BoundProblem, box: Box, bias: int) -> Optional[Witness]:
     x_ranges: dict[str, Interval] = {}
     for i, dim in enumerate(problem.dims):
         s = box.ivs[i]
@@ -750,8 +752,7 @@ def _witness_attempt(problem: BoundProblem, box: Box, goal: Fraction,
             if root is None:
                 return None
             values[target] = root
-        return _evaluate_witness(
-            problem, {d.var: values[d.var] for d in problem.dims}, goal)
+        return _evaluate_witness(problem, {d.var: values[d.var] for d in problem.dims})
     except NegativeRadicandError:       # a square-root claim below zero
         return None
 
@@ -771,78 +772,52 @@ def _signed_sqrt(q: Polynomial, values: dict[str, ExactVal],
     return closure
 
 
-def _evaluate_witness(problem: BoundProblem, dim_values: dict[str, ExactVal],
-                      goal: Fraction) -> Optional[Witness]:
-    """The witness of exact dimension values: evaluate the definition chain
-    from them, then the constraints, sign conditions, margins and ratio;
-    square the precision and evaluate again (five precisions at most) while
-    a test is undecided or the ratio is wider than goal."""
-    precision = Fraction(1, 2 ** 64)
-    for _ in range(5):
-        ok = True
-        env = {var: exact_interval(v, precision) for var, v in dim_values.items()}
-        for d in problem.defs:
-            if isinstance(d, SqrtDef):
-                rad = eval_poly_interval(d.radicand, env)
-                if rad.hi < 0:
-                    return None
-                env[d.var] = sqrt_interval(rad, precision)
-            else:
-                numi = eval_poly_interval(d.num, env)
-                if numi.lo == 0 == numi.hi:
-                    env[d.var] = Interval.point(0)
-                    continue
-                den = eval_poly_interval(d.den, env)
-                if den.lo <= 0 <= den.hi:
-                    ok = False
-                    break
-                env[d.var] = numi / den
-        if not ok:
-            precision = precision * precision
-            continue
-        # constraints hold by construction; verify the residual is tiny
-        for p in problem.constraints:
-            iv = eval_poly_interval(p, env)
-            if not iv.contains(0):
+def _evaluate_witness(problem: BoundProblem,
+                      dim_values: dict[str, ExactVal]) -> Optional[Witness]:
+    """The witness of exact dimension values, from the chart's generated
+    evaluator over a float box around them: each value is enclosed at 2^-64
+    and rounded outward to floats. The box holds the exact point, so a
+    `feasible` box with no undecided sign condition certifies that the
+    point is a nondegenerate configuration (every constraint's enclosure
+    holds 0, every sign condition holds strictly and no divisor straddles
+    0), and its ratio enclosure holds the point's ratio. Margins are read
+    from the box's environment."""
+    ivs = []
+    for dim in problem.dims:
+        v = exact_interval(dim_values[dim.var], Fraction(1, 2 ** 64))
+        lo, hi = FI.from_fraction(v.lo).lo, FI.from_fraction(v.hi).hi
+        if dim.compactified:
+            lo, hi = _unmap_real_line(lo, hi)
+        ivs.append(FI(lo, hi))
+    ev = problem.evaluate(ivs, lambda r: True)
+    if ev.status != "feasible" or ev.sign_active or \
+            not (math.isfinite(ev.ratio.lo) and math.isfinite(ev.ratio.hi)):
+        return None
+    env: dict[str, Interval] = {}
+    for p in [*problem.margins, *(q for q, _ in problem.signconds)]:
+        for var in p.support() - env.keys():
+            iv = ev.env[problem.var_index[var]]
+            if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
                 return None
-        margin = math.inf
-        for comp, sign in problem.signconds:
-            iv = eval_poly_interval(comp, env)
-            val = iv.lo if sign > 0 else -iv.hi
-            if val <= 0:
-                if (sign > 0 and iv.hi <= 0) or (sign < 0 and iv.lo >= 0):
-                    return None
-                ok = False
-                break
-            margin = min(margin, float(val))
-        if not ok:
-            precision = precision * precision
-            continue
-        for p in problem.margins:
-            iv = eval_poly_interval(p, env)
-            if iv.contains(0):
-                if iv.width() > goal:
-                    ok = False
-                    break
-                return None  # sits on the degeneracy boundary
-            margin = min(margin, float(min(abs(iv.lo), abs(iv.hi))))
-        if not ok:
-            precision = precision * precision
-            continue
-        den = eval_poly_interval(problem.obj_den, env)
-        if den.lo <= 0 <= den.hi:
-            precision = precision * precision
-            continue
-        ratio = eval_poly_interval(problem.obj_num, env) / den
-        if ratio.width() > goal and precision > Fraction(1, 2 ** 512):
-            precision = precision * precision
-            continue
-        if problem.chart == "far" and "_rho" in env:
-            # the projective radius measures how far toward infinity the
-            # configuration sits: a bound approached as rho -> 0 is a limit
-            margin = min(margin, abs(float(env["_rho"].mid())))
-        return Witness(ratio=ratio, margin=margin)
-    return None
+            env[var] = Interval(Fraction(iv.lo), Fraction(iv.hi))
+    margin = math.inf
+    for comp, sign in problem.signconds:
+        iv = eval_poly_interval(comp, env)
+        val = iv.lo if sign > 0 else -iv.hi
+        if val <= 0:
+            return None
+        margin = min(margin, float(val))
+    for p in problem.margins:
+        iv = eval_poly_interval(p, env)
+        if iv.contains(0):
+            return None     # sits on the degeneracy boundary
+        margin = min(margin, float(min(abs(iv.lo), abs(iv.hi))))
+    if problem.chart == "far":
+        # the projective radius measures how far toward infinity the
+        # configuration sits: a bound approached as rho -> 0 is a limit
+        margin = min(margin, abs(ev.env[problem.var_index["_rho"]].mid()))
+    return Witness(ratio=Interval(Fraction(ev.ratio.lo), Fraction(ev.ratio.hi)),
+                   margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +965,7 @@ class _Side:
 
 
 def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
-              hard_goal: float, deadline: float, witness_goal: Fraction) -> _Side:
+              hard_goal: float, deadline: float) -> _Side:
     """Best-first search for one side, in minimized coordinates: the
     supremum search minimizes -m, so heap keys are lower bounds either way.
     A polished witness per chart root seeds the incumbent; a witness on the
@@ -1038,7 +1013,7 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
 
     # seed the incumbent by local descent so pruning works immediately
     for ci, root in roots:
-        w = _polished_witness(charts[ci], root, minimize, witness_goal)
+        w = _polished_witness(charts[ci], root, minimize)
         if w is not None and witness_value(w) < incumbent:
             incumbent = witness_value(w)
             best_witness = w
@@ -1066,7 +1041,7 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
                 break
 
         if best_witness is None or boxes % 8 == 0:
-            w = witness_for_box(problem, box, witness_goal)
+            w = witness_for_box(problem, box)
             if w is not None and witness_value(w) < incumbent:
                 incumbent = witness_value(w)
                 best_witness = w
@@ -1137,8 +1112,8 @@ def _descend(problem: BoundProblem, start: list[float], minimize: bool,
     return s
 
 
-def _polished_witness(problem: BoundProblem, box: Box, minimize: bool,
-                      goal: Fraction) -> Optional[Witness]:
+def _polished_witness(problem: BoundProblem, box: Box,
+                      minimize: bool) -> Optional[Witness]:
     start = [iv.mid() for iv in box.ivs]
     best = _descend(problem, start, minimize)
     if best is None:
@@ -1146,7 +1121,7 @@ def _polished_witness(problem: BoundProblem, box: Box, minimize: bool,
     eps = 1e-12
     ivs = [FI(max(x - eps, d.lo), min(x + eps, d.hi))
            for x, d in zip(best, problem.dims)]
-    return witness_for_box(problem, Box(ivs), goal)
+    return witness_for_box(problem, Box(ivs))
 
 
 def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
@@ -1155,14 +1130,10 @@ def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
     optimum lies on one face: pin that dimension (exact for the searched
     extremum). Only applies to unconstrained dimensions — faces of
     constrained boxes may be infeasible."""
-    if problem.constraints or problem.signconds or ev.env is None:
-        return None
-    grads = ev.grads if ev.grads is not None \
-        else problem.evaluate(box.ivs, None, ev.ratio)
-    if grads is None:
+    if problem.constraints or problem.signconds or ev.grads is None:
         return None
     new_ivs = None
-    for j, g in enumerate(grads):
+    for j, g in enumerate(ev.grads):
         iv = box.ivs[j]
         if iv.width() <= 0.0:
             continue
@@ -1180,8 +1151,7 @@ def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
     return Box(new_ivs)
 
 
-def _ray_probe(problem: BoundProblem, box: Box,
-               goal: Fraction) -> Optional[Witness]:
+def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
     """Witnesses along a compactification ray (shrinking the projective
     radius geometrically): monotone growth of the ratio beyond
     `UNBOUNDED_AT` is the evidence that the supremum is unbounded."""
@@ -1193,7 +1163,7 @@ def _ray_probe(problem: BoundProblem, box: Box,
     for _ in range(12):
         ivs = list(box.ivs)
         ivs[0] = FI(float(rho), float(rho))
-        w = witness_for_box(problem, Box(ivs), goal)
+        w = witness_for_box(problem, Box(ivs))
         if w is None:
             return None
         value = float(w.ratio.lo)
@@ -1206,17 +1176,16 @@ def _ray_probe(problem: BoundProblem, box: Box,
     return None
 
 
-def _quick_unbounded(charts: list[BoundProblem],
-                     witness_goal: Fraction) -> Optional[_Side]:
+def _quick_unbounded(charts: list[BoundProblem]) -> Optional[_Side]:
     """Detect an unbounded supremum up front: descent on each chart plus a
     ray probe on the projective charts."""
     for problem in charts:
         root = hull_contract(problem, Box([FI(d.lo, d.hi) for d in problem.dims]))
         if root is None:
             continue
-        w = _polished_witness(problem, root, False, witness_goal)
+        w = _polished_witness(problem, root, False)
         if (w is None or float(w.ratio.lo) <= UNBOUNDED_AT) and problem.chart == "far":
-            w = _ray_probe(problem, root, witness_goal)
+            w = _ray_probe(problem, root)
         if w is not None and float(w.ratio.lo) > UNBOUNDED_AT:
             return _Side(floor=-INF, incumbent=-float(w.ratio.lo), witness=w,
                          unbounded=True, timed_out=False, boxes=0)
@@ -1235,17 +1204,15 @@ def branch_and_bound(charts: Union[BoundProblem, list[BoundProblem]],
     budget = max(deadline - now, 0.1)
     ftol = float(tol)
     hard_goal = min(ftol, 1e-9)
-    witness_goal = min(tol / 8, Fraction(1, 10 ** 9))
 
     # cheap pre-pass: a supremum that diverges along a compactification ray
     # resolves immediately and frees its reserve for the infimum search
-    hi_side = _quick_unbounded(charts, witness_goal)
+    hi_side = _quick_unbounded(charts)
     reserve = max(1.5, 0.25 * budget) if hi_side is None else 0.05 * budget
-    lo_side = _optimize(charts, True, ftol, hard_goal,
-                        deadline - reserve, witness_goal)
+    lo_side = _optimize(charts, True, ftol, hard_goal, deadline - reserve)
     if hi_side is None:
         hi_side = _optimize(charts, False, ftol, hard_goal,
-                            deadline - 0.02 * budget, witness_goal)
+                            deadline - 0.02 * budget)
 
     inf_res = _assemble_side(lo_side, True, tol)
     sup_res = _assemble_side(hi_side, False, tol)

@@ -866,11 +866,8 @@ class _Generator:
         return f.pieces()
 
     def evaluate(self) -> list[str]:
-        """`evaluate(ivs, prune_key, grads_for=None)`: the BoxEval of the
-        box. With an enclosure `grads_for`, the gradients of the ratio over
-        the box instead (None where the quotient does not exist), from the
-        natural quotient narrowed by that enclosure."""
-        f = Emitter("def evaluate(ivs, prune_key, grads_for=None):")
+        """`evaluate(ivs, prune_key)`: the BoxEval of the box."""
+        f = Emitter("def evaluate(ivs, prune_key):")
         infeasible = "return BoxEval('infeasible')"
         box = self.load_box(f)
         f.emit("status = 'feasible'")
@@ -888,35 +885,23 @@ class _Generator:
             f.branch(_straddles(v), lambda i=i: f.emit(f"act = act | SD[{i}]"))
         num, den = self.ratio(f, env)
         f.emit(f"env = {env.source()}")
-
-        def indeterminate():
-            f.emit("if grads_for is not None:")
-            f.emit("    return None")
-            f.emit(f"return BoxEval('indeterminate', env, one_sided({num.source()}, "
-                   f"{den.source()}), None, act)")
-
-        f.branch(_straddles(den), indeterminate)
+        f.branch(_straddles(den), lambda: f.emit(
+            f"return BoxEval('indeterminate', env, one_sided({num.source()}, "
+            f"{den.source()}), None, act)"))
         inv = f.inverse(den)
         ratio = f.mul(num, inv, into=("rl", "rh"))
-        with f.block("if grads_for is None:"):
-            f.emit("r = FI(rl, rh)")
-            f.emit("if prune_key is not None and prune_key(r):")
-            f.emit("    return BoxEval(status, env, r, None, act)")
-            # centered form, iterated: a tighter ratio enclosure tightens
-            # the quotient-rule combination (the gradient table is reused)
-            for i in range(self.n):
-                f.emit(f"m{i} = 0.0 if s{i}l == NINF or s{i}h == INF "
-                       f"else 0.5 * (s{i}l + s{i}h)")
-            f.emit(f"c = centre({', '.join(f'm{i}' for i in range(self.n))})")
-            f.emit("if c is None:")
-            f.emit("    return BoxEval(status, env, r, None, act)")
-            f.emit("crl, crh = c")
-        with f.block("else:"):
-            f.emit("lo = grads_for.lo if grads_for.lo > rl else rl")
-            f.emit("hi = grads_for.hi if grads_for.hi < rh else rh")
-            f.emit("if lo <= hi:")
-            f.emit("    rl = lo")
-            f.emit("    rh = hi")
+        f.emit("r = FI(rl, rh)")
+        f.emit("if prune_key is not None and prune_key(r):")
+        f.emit("    return BoxEval(status, env, r, None, act)")
+        # centered form, iterated: a tighter ratio enclosure tightens the
+        # quotient-rule combination (the gradient table is reused)
+        for i in range(self.n):
+            f.emit(f"m{i} = 0.0 if s{i}l == NINF or s{i}h == INF "
+                   f"else 0.5 * (s{i}l + s{i}h)")
+        f.emit(f"c = centre({', '.join(f'm{i}' for i in range(self.n))})")
+        f.emit("if c is None:")
+        f.emit("    return BoxEval(status, env, r, None, act)")
+        f.emit("crl, crh = c")
         gnum, gden = self.grad_table(f, env, box)
         grads = [(f"g{j}l", f"g{j}h") for j in range(self.n)]
         listed = "[" + ", ".join(f"FI({g[0]}, {g[1]})" for g in grads) + "]"
@@ -924,8 +909,6 @@ class _Generator:
             # den does not straddle zero here: the natural quotient exists
             for j in range(self.n):
                 f.mul(f.sub(gnum[j], f.mul(ratio, gden[j])), inv, into=grads[j])
-            f.emit("if grads_for is not None:")
-            f.emit(f"    return {listed}")
             total = V("crl", "crh")
             for j in range(self.n):
                 half = f.sub(box[j], V(f"m{j}", f"m{j}"))

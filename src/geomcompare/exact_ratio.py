@@ -5,7 +5,6 @@ an exact algebraic number with an optional radical rendering.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +13,7 @@ from typing import Optional
 from .algebraic import (
     AlgebraicNumber,
     RadicalForm,
+    _primitive_integer,
     approx_decimal,
     isolate_real_roots,
     to_radical,
@@ -22,12 +22,11 @@ from .construction import Translation
 from .instantiate import (
     Branches,
     DegenerateInstance,
-    evaluate_figure,
     figure_with_statement,
     sample_configuration,
 )
 from .intervals import Interval
-from .polynomials import BuchbergerLimits, Polynomial, eliminate
+from .polynomials import BuchbergerLimits, Polynomial, eliminate, poly_from_univariate
 
 
 class NoPositiveRootError(ValueError):
@@ -86,24 +85,7 @@ def eliminate_to_mu(t: Translation, limits: Optional[BuchbergerLimits] = None,
     p = gens[0]
     if p.degree_in("m") == 0:
         return None
-    return _integer_normalized(p)
-
-
-def _integer_normalized(p: Polynomial) -> Polynomial:
-    coeffs = p.univariate_coeffs("m")
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    scaled = [c * den for c in coeffs]
-    g = 0
-    for c in scaled:
-        g = math.gcd(g, abs(int(c)))
-    g = g or 1
-    from .polynomials import poly_from_univariate
-    out = [c / g for c in scaled]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return poly_from_univariate(out, "m")
+    return poly_from_univariate(_primitive_integer(p.univariate_coeffs("m")), "m")
 
 
 def solve_mu(p: Polynomial) -> ExactRatioResult:
@@ -124,8 +106,7 @@ def ratio_sample(t: Translation, rng: random.Random,
                  ) -> tuple[Interval, Branches]:
     """Ratio of the compared quantities at a random feasible configuration,
     and the chain branches of that configuration."""
-    coords, br = sample_configuration(t, rng, branches=branches)
-    fig = evaluate_figure(t, coords, br, precision)
+    _, br, fig = sample_configuration(t, rng, branches=branches, precision=precision)
     return figure_with_statement(t, fig)["m"], br
 
 

@@ -286,8 +286,11 @@ def _branch_combinations(t: Translation) -> list[Branches]:
 
 def sample_configuration(t: Translation, rng: random.Random,
                          branches: Optional[Branches] = None,
-                         ) -> tuple[dict[str, ExactVal], Branches]:
-    """A random nondegenerate configuration satisfying all constraints.
+                         precision: Fraction = Fraction(1, 2 ** 64),
+                         ) -> tuple[dict[str, ExactVal], Branches, Figure]:
+    """A random nondegenerate configuration satisfying all constraints: its
+    coordinates, its chain branches and its figure, evaluated at
+    `precision`.
 
     Equality constraints are solved exactly for their highest free
     coordinate. For each draw of the coordinates every combination of chain
@@ -314,11 +317,11 @@ def sample_configuration(t: Translation, rng: random.Random,
         rng.shuffle(combos)
         for combo in combos:
             try:
-                fig = evaluate_figure(t, values, combo)
+                fig = evaluate_figure(t, values, combo, precision)
             except DegenerateInstance:
                 continue
             if _signconds_hold(t, fig):
-                return values, combo
+                return values, combo, fig
     raise DegenerateInstance("could not sample a feasible configuration")
 
 

@@ -286,7 +286,7 @@ def test_criterion_10_property_suites():
         t = translate(parse_construction(_case(name)))
         t2, _ = presolve(t)
         for _ in range(50):
-            coords, branches = sample_configuration(t, rng)
+            coords, branches, _ = sample_configuration(t, rng)
             fig = evaluate_figure(t, coords, branches, Fraction(1, 2 ** 160))
             env = figure_with_statement(t, fig)
             for tp in t2.polys:

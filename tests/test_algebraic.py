@@ -376,3 +376,23 @@ def test_extract_square_large_prime_square():
         s, d = algebraic._extract_square(n)
         assert s * s * d == n
         assert all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+
+
+def test_quadratic_radicand_factored_once(monkeypatch):
+    # both branches of an irrational quadratic root share one radicand
+    calls = []
+    original = algebraic._extract_square
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(algebraic, "_extract_square", counting)
+    for coeffs, rendered in (([-2, 0, 1], ["-sqrt(2)", "sqrt(2)"]),
+                             ([-1, -1, 1], ["(1-sqrt(5))/2", "(1+sqrt(5))/2"]),
+                             ([-3, 4, 5], ["(-2-sqrt(19))/5", "(sqrt(19)-2)/5"])):
+        roots = isolate_real_roots(U(coeffs))
+        for root, want in zip(roots, rendered):
+            calls.clear()
+            assert to_radical(root).render() == want
+            assert len(calls) == 1, (coeffs, calls)

@@ -1,4 +1,5 @@
 import glob
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,9 +7,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from geomcompare import bounds
 from geomcompare.bounds import (
+    NEAR_RADIUS,
     Box,
     CompileError,
+    SqrtDef,
     branch_and_bound,
     compile_charts,
     evaluate_box,
@@ -17,11 +21,14 @@ from geomcompare.bounds import (
     simplest_rational_in,
     split_box,
     witness_for_box,
+    _unmap_point,
+    _unmap_real_line,
 )
 from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import ratio_sample
 from geomcompare.float_intervals import FI
-from geomcompare.intervals import Interval
+from geomcompare.instantiate import exact_interval
+from geomcompare.intervals import Interval, eval_poly_interval, sqrt_interval
 from geomcompare.pipeline import CompareConfig, compare_source
 from geomcompare.presolve import presolve
 
@@ -84,7 +91,6 @@ def test_contract_unconstrained_box_unchanged():
 def test_contract_keeps_feasible_point():
     # right-triangle constraint: a box around C=(1/2, 1/2) on the circle
     near = _charts("right_triangle_perimeter_vs_circumradius")[0]
-    from geomcompare.bounds import _unmap_point
     s5, s6 = _unmap_point(0.5), _unmap_point(0.5)
     box = Box([FI(s5 - 0.05, s5 + 0.05), FI(s6 - 0.05, s6 + 0.05)])
     out = hull_contract(near, box)
@@ -94,12 +100,36 @@ def test_contract_keeps_feasible_point():
 
 def test_contract_infeasible_box():
     near = _charts("right_triangle_perimeter_vs_circumradius")[0]
-    from geomcompare.bounds import _unmap_point
     s5, s6 = _unmap_point(5.0), _unmap_point(5.0)  # far off the circle
     box = Box([FI(s5 - 0.001, s5 + 0.001), FI(s6 - 0.001, s6 + 0.001)])
     out = hull_contract(near, box)
     if out is not None:  # contraction may defer to evaluation
         assert evaluate_box(near, out).status == "infeasible"
+
+
+def _real_line_value(s: float) -> Fraction:
+    return Fraction(s) / (1 - Fraction(s) ** 2)
+
+
+def test_unmap_real_line_encloses_x():
+    """The s-interval returned for [x, x] maps back, exactly, onto an
+    interval that holds x: over seeded x of every magnitude, both signs and
+    the extremes of the float range."""
+    rng = random.Random(11)
+    xs = [5e-324, 1e-3, 5e-9, 1e-300, 1.0, 8.0, 1e154, 1.7976931348623157e308]
+    xs += [rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-323, 307) for _ in range(3000)]
+    for x in xs + [-x for x in xs]:
+        lo, hi = _unmap_real_line(x, x)
+        assert lo == -1.0 or _real_line_value(lo) <= Fraction(x), (x, lo)
+        assert hi == 1.0 or _real_line_value(hi) >= Fraction(x), (x, hi)
+
+
+def test_near_chart_reaches_the_far_chart():
+    """The near chart's compactified coordinates run up to s0; the point
+    they map to must reach NEAR_RADIUS, where the far chart begins, or the
+    two charts leave a gap between them."""
+    s0 = _unmap_point(NEAR_RADIUS)
+    assert _real_line_value(s0) >= NEAR_RADIUS
 
 
 # -- enclosure soundness -------------------------------------------------------
@@ -145,7 +175,7 @@ def test_deterministic_single_worker():
     ("pythagoras_relaxed", 149),
     ("euler_inequality_isosceles", 258),
     ("pentagon_diagonal_convex", 204),
-    ("right_triangle_perimeter_vs_circumradius", 1341),
+    ("right_triangle_perimeter_vs_circumradius", 352),
 ])
 def test_search_box_counts(name, boxes):
     """Boxes to certify do not depend on the machine: a change to the
@@ -202,13 +232,9 @@ def test_agreement_with_exact_ratio(name):
 
 # -- witnesses --------------------------------------------------------------------
 
-def test_witnesses_lie_in_their_boxes():
-    """A witness is a configuration inside its box: the box is not certified
-    infeasible and its enclosure meets the witness ratio. Boxes are seeded
-    bisections of every chart of the example constructions; on
-    pentagon_diagonal's near chart the claim v12^2 = 1 - v11^2 (v11 an
-    algebraic cosine) must take the root of the sign inside the box."""
-    rng = random.Random(3)
+def _seeded_witness_boxes(rng):
+    """(path, problem, box): seeded bisections of the root box of every
+    chart of the example constructions."""
     for path in sorted(glob.glob("benchmarks/*.gct")):
         t, _ = presolve(translate(parse_construction(open(path).read())))
         try:
@@ -222,14 +248,93 @@ def test_witnesses_lie_in_their_boxes():
                     i = rng.randrange(len(ivs))
                     m = ivs[i].mid()
                     ivs[i] = FI(ivs[i].lo, m) if rng.random() < 0.5 else FI(m, ivs[i].hi)
-                w = witness_for_box(problem, Box(ivs))
-                if w is None:
-                    continue
-                ev = evaluate_box(problem, Box(ivs))
-                where = (path, problem.chart, ivs, float(w.ratio.lo))
-                assert ev.status != "infeasible", where
-                if ev.ratio is not None:
-                    assert w.ratio.lo <= ev.ratio.hi and ev.ratio.lo <= w.ratio.hi, where
+                yield path, problem, Box(ivs)
+
+
+def test_witnesses_lie_in_their_boxes():
+    """A witness is a configuration inside its box: the box is not certified
+    infeasible and its enclosure meets the witness ratio. On
+    pentagon_diagonal's near chart the claim v12^2 = 1 - v11^2 (v11 an
+    algebraic cosine) must take the root of the sign inside the box."""
+    for path, problem, box in _seeded_witness_boxes(random.Random(3)):
+        w = witness_for_box(problem, box)
+        if w is None:
+            continue
+        ev = evaluate_box(problem, box)
+        where = (path, problem.chart, box.ivs, float(w.ratio.lo))
+        assert ev.status != "infeasible", where
+        if ev.ratio is not None:
+            assert w.ratio.lo <= ev.ratio.hi and ev.ratio.lo <= w.ratio.hi, where
+
+
+def _reference_witness(problem, dim_values, precision=Fraction(1, 2 ** 128)):
+    """(ratio, margin) of exact dimension values in rational interval
+    arithmetic at one precision: the definition chain from the values, then
+    the constraints, sign conditions, margins and ratio. None where a test
+    fails or is undecided at this precision."""
+    env = {var: exact_interval(v, precision) for var, v in dim_values.items()}
+    for d in problem.defs:
+        if isinstance(d, SqrtDef):
+            rad = eval_poly_interval(d.radicand, env)
+            if rad.hi < 0:
+                return None
+            env[d.var] = sqrt_interval(rad, precision)
+            continue
+        num = eval_poly_interval(d.num, env)
+        if num.lo == 0 == num.hi:
+            env[d.var] = Interval.point(0)
+            continue
+        den = eval_poly_interval(d.den, env)
+        if den.contains(0):
+            return None
+        env[d.var] = num / den
+    if not all(eval_poly_interval(p, env).contains(0) for p in problem.constraints):
+        return None
+    margin = math.inf
+    for comp, sign in problem.signconds:
+        iv = eval_poly_interval(comp, env)
+        val = iv.lo if sign > 0 else -iv.hi
+        if val <= 0:
+            return None
+        margin = min(margin, float(val))
+    for p in problem.margins:
+        iv = eval_poly_interval(p, env)
+        if iv.contains(0):
+            return None
+        margin = min(margin, float(min(abs(iv.lo), abs(iv.hi))))
+    den = eval_poly_interval(problem.obj_den, env)
+    if den.contains(0):
+        return None
+    if problem.chart == "far":
+        margin = min(margin, abs(float(env["_rho"].mid())))
+    return eval_poly_interval(problem.obj_num, env) / den, margin
+
+
+def test_witness_ratios_contain_the_rational_reference(monkeypatch):
+    """Each witness's ratio, enclosed by the generated evaluator over a
+    float box, contains the rational enclosure of the ratio at the same
+    exact point, and its margin classifies attainment (margin >=
+    max(10*tol, 1e-3)) as the exact margin does."""
+    found = []
+    evaluate = bounds._evaluate_witness
+
+    def recording(problem, dim_values):
+        w = evaluate(problem, dim_values)
+        if w is not None:
+            found.append((problem, dim_values, w))
+        return w
+
+    monkeypatch.setattr(bounds, "_evaluate_witness", recording)
+    for _, problem, box in _seeded_witness_boxes(random.Random(5)):
+        witness_for_box(problem, box)
+    assert len({id(problem) for problem, _, _ in found}) >= 20
+    threshold = max(10 * 1e-6, 1e-3)
+    for problem, values, w in found:
+        ref = _reference_witness(problem, values)
+        assert ref is not None, (problem.chart, values)
+        ratio, margin = ref
+        assert w.ratio.lo <= ratio.lo and ratio.hi <= w.ratio.hi, (values, w.ratio, ratio)
+        assert (w.margin >= threshold) == (margin >= threshold), (values, w.margin, margin)
 
 
 # -- projective chart at infinity ---------------------------------------------

@@ -244,17 +244,6 @@ class Reference:
             out.append(g)
         return out
 
-    def gradients(self, box, env, ratio_enclosure=None):
-        den = self.c_den.eval(env)
-        m = self.c_num.eval(env).divide(den)
-        if m is None:
-            return None
-        if ratio_enclosure is not None:
-            tighter = m.intersect(ratio_enclosure)
-            if tighter is not None:
-                m = tighter
-        return self.combine(env, self.grad_table(box, env), m)
-
     def hull_contract(self, box, max_rounds=6):
         p = self.p
         if not self.c_constraints and not self.c_signconds:
@@ -434,10 +423,6 @@ def test_generated_evaluator_matches_interpreter(label, problem):
             assert same_list(got.grads, grads), (where, got.grads, grads, _show(problem))
             assert same_list(got.env, env), (where, got.env, env, _show(problem))
             assert got.sign_active == active, (where, _show(problem))
-            if env is not None:
-                # the gradient fallback of the monotonicity test
-                g = problem.evaluate(box.ivs, None, got.ratio)
-                assert same_list(g, ref.gradients(box, env, ratio)), (where, _show(problem))
 
 
 @pytest.mark.parametrize("label,problem",

@@ -241,7 +241,7 @@ def test_random_instantiations_satisfy_equations():
     for src in (MEDIANS, TRIANGLE_SUMSQ, PENTAGON):
         t = translate(parse_construction(src))
         for _ in range(34):
-            coords, branches = sample_configuration(t, rng)
+            coords, branches, _ = sample_configuration(t, rng)
             fig = evaluate_figure(t, coords, branches, Fraction(1, 2 ** 160))
             assert residual_check(t, fig, Fraction(1, 10 ** 20))
 

@@ -81,7 +81,6 @@ def test_pentagon_crosscheck_random_trials_witness_both():
 def test_crosscheck_under_sign_conditions_evaluates_few_figures(monkeypatch):
     """The half-plane conditions admit only the convex pentagon; the
     sampler reaches it by enumerating chain branches, not by rejection."""
-    import geomcompare.exact_ratio as exact_ratio
     import geomcompare.instantiate as instantiate
     t = _prepared("pentagon_diagonal_convex")
     result = solve_mu(eliminate_to_mu(t))
@@ -93,7 +92,6 @@ def test_crosscheck_under_sign_conditions_evaluates_few_figures(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(instantiate, "evaluate_figure", counting)
-    monkeypatch.setattr(exact_ratio, "evaluate_figure", counting)
     witnessed = numeric_crosscheck(result, t, trials=8, rng=random.Random(5))
     assert [c.radical.render() for c in result.candidates] == \
         ["(sqrt(5)-1)/2", "(1+sqrt(5))/2"]
@@ -112,7 +110,7 @@ def test_sampler_keeps_caller_branches():
         for square in (1, -1):
             given = {2: pentagon, 3: (0, square)}
             try:
-                _, got = sample_configuration(t, random.Random(1), branches=given)
+                _, got, _ = sample_configuration(t, random.Random(1), branches=given)
             except DegenerateInstance:
                 pass
             else:
