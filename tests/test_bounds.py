@@ -327,6 +327,9 @@ def test_witness_ratios_contain_the_rational_reference(monkeypatch):
     monkeypatch.setattr(bounds, "_evaluate_witness", recording)
     for _, problem, box in _seeded_witness_boxes(random.Random(5)):
         witness_for_box(problem, box)
+        if problem.chart == "far":
+            # toward infinity, where the projective radius sets the margin
+            witness_for_box(problem, Box([FI(1e-4, 1e-4)] + box.ivs[1:]))
     assert len({id(problem) for problem, _, _ in found}) >= 20
     threshold = max(10 * 1e-6, 1e-3)
     for problem, values, w in found:
