@@ -110,6 +110,11 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     return a
 
 def _squarefree(c: Coeffs) -> Coeffs:
+    """c without repeated factors. Degree <= 1 is squarefree, and so is a
+    quadratic with a nonzero discriminant: neither takes the gcd."""
+    deg = _degree(c)
+    if deg <= 1 or (deg == 2 and c[1] * c[1] != 4 * c[2] * c[0]):
+        return c
     d = _derive(c)
     if not _trim(d[:]):
         return c
@@ -635,8 +640,12 @@ def _biquadratic_radical(alg: AlgebraicNumber, c: Coeffs) -> Optional[RadicalFor
     disc = p * p - 4 * q
     negated = alg.sign < 0
     candidates: list[RadicalForm] = []
+    sd = _is_square(disc)
+    if sd is None:
+        # sqrt(disc) = k*sqrt(d) / den, factored once for both branches;
+        # d > 1 because disc is not a square
+        k, d = _extract_square(disc.numerator * disc.denominator)
     for s in (1, -1):
-        sd = _is_square(disc)
         if sd is not None:
             rho = (-p + s * sd) / 2
             if rho < 0:
@@ -648,19 +657,15 @@ def _biquadratic_radical(alg: AlgebraicNumber, c: Coeffs) -> Optional[RadicalFor
                 candidates.append(RadicalForm(rho, Fraction(0), 0, outer=True,
                                               negated=negated))
         else:
-            num, den = disc.numerator, disc.denominator
-            surd = RadicalForm.surd(-p / 2, Fraction(s, 2 * den), num * den)
-            if surd.b == 0:
-                continue
-            den_xy = _denest(surd.a, surd.b, surd.d)
+            a, b = -p / 2, Fraction(s * k, 2 * disc.denominator)
+            den_xy = _denest(a, b, d)
             if den_xy is not None:
-                x, y = den_xy
+                x, y = den_xy           # y = b / 2x is not 0
                 if negated:
                     x, y = -x, -y
-                candidates.append(RadicalForm.surd(x, y, surd.d))
+                candidates.append(RadicalForm(x, y, d))
             else:
-                candidates.append(RadicalForm(surd.a, surd.b, surd.d, outer=True,
-                                              negated=negated))
+                candidates.append(RadicalForm(a, b, d, outer=True, negated=negated))
     return _pick_branch(alg, candidates)
 
 

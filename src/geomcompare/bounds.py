@@ -9,16 +9,20 @@ definitions. Remaining equations act as constraints: they prune boxes by
 interval evaluation and narrow them by hull consistency. Certified lower
 bounds come from the box enclosures (natural extension intersected with a
 first-order centered form); certified upper bounds come from witnesses,
-configurations built exactly inside a box (every constraint solved exactly)
-whose ratio is enclosed over a float box around the exact point.
+exact configurations inside a box whose ratio is enclosed over a float box
+holding the configuration. Without constraints any point of the box is a
+configuration, and the witness is a float point box; with constraints
+every constraint is solved exactly at small rationals and the float box is
+rounded outward around the solution.
 
 Box evaluation is generated code: building a `BoundProblem` writes its
 definition chain, constraints, sign conditions, natural and centered forms
 and gradient table out as straight-line float code (`boxcode`) and loads it
 with `exec`. `evaluate_box`, `hull_contract` and the witnesses call it, so a
 chart's definition chain is evaluated by this one piece of code. Its
-enclosures are bit-identical to `FI` arithmetic on the same formulas, so a
-search visits the same boxes as an interpreter would.
+enclosures are bit-identical to `FI` arithmetic on the same formulas, but
+that operations whose result is exact (a product by a known 1, -1 or 0,
+say) are not rounded (`boxcode`).
 `problem.evaluator_source` gives the source.
 """
 
@@ -106,6 +110,10 @@ class BoundProblem:
             for v in p.support():
                 dims |= dep_dims.get(v, set())
             self.signcond_dims.append(frozenset(dims))
+        # sign conditions and margins in FI arithmetic, for the witnesses
+        self.witness_signconds = [(_fi_terms(p, self.var_index), s)
+                                  for p, s in self.signconds]
+        self.witness_margins = [_fi_terms(p, self.var_index) for p in self.margins]
         entry = compile_evaluator(self)
         self.evaluate = entry["evaluate"]
         # generated only where the search contracts boxes
@@ -121,6 +129,24 @@ class BoundProblem:
 
 class CompileError(ValueError):
     pass
+
+
+def _fi_terms(p: Polynomial, index: dict[str, int]) -> list[tuple[FI, list[tuple[int, int]]]]:
+    """p's terms as (coefficient enclosure, [(slot, exponent), ...])."""
+    return [(FI.from_fraction(c), [(index[p.vars[i]], e) for i, e in enumerate(mono) if e])
+            for mono, c in p.terms.items()]
+
+
+def _fi_value(terms: list[tuple[FI, list[tuple[int, int]]]], env: list[FI]) -> FI:
+    """Outward enclosure of a polynomial from `_fi_terms` over a box's
+    environment."""
+    total = FI(0.0, 0.0)
+    for coef, powers in terms:
+        term = coef
+        for slot, e in powers:
+            term = term * env[slot].power(e)
+        total = total + term
+    return total
 
 
 def compile_problem(t: Translation,
@@ -644,18 +670,25 @@ def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
 
 @dataclass
 class Witness:
-    ratio: Interval              # certified enclosure of the achieved ratio
+    ratio: FI                    # certified enclosure of the achieved ratio
     margin: float                # distance from the nondegeneracy boundary
 
 
 _WITNESS_WINDOWS = ((1, 3), (5, 7))  # eighths
 
 
+def _window_point(iv: FI, bias: int) -> float:
+    """The centre of an eighths window of a float interval."""
+    a, b = _WITNESS_WINDOWS[bias % len(_WITNESS_WINDOWS)]
+    return min(max(iv.lo + (iv.hi - iv.lo) * ((a + b) / 16), iv.lo), iv.hi)
+
+
 def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
-    """A small-denominator rational inside the interval (keeps `solve_for`
-    cheap: the constraints are instantiated at these values before their
-    roots are isolated); bias picks the sampling window, the lower or the
-    upper quarter-width band, to step off a degeneracy."""
+    """A small-denominator rational inside the interval, for the dimensions
+    a constrained witness does not solve for (keeps `solve_for` cheap: the
+    constraints are instantiated at these values before their roots are
+    isolated); bias picks the sampling window, the lower or the upper
+    quarter-width band, to step off a degeneracy."""
     if rng.width() == 0:
         return rng.lo
     w = rng.width()
@@ -664,21 +697,29 @@ def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
 
 
 def witness_for_box(problem: BoundProblem, box: Box) -> Optional[Witness]:
-    """Build a configuration inside the box satisfying every constraint
-    exactly: each constraint is solved for one dimension, the others take
-    small rationals. The chart's generated evaluator then encloses the
-    ratio over a float box around the exact point (`_evaluate_witness`).
-    A second attempt samples a higher window and flips the claim
-    orientation, in case the first exact point sits on a degeneracy or
-    outside a thin feasible sliver."""
+    """A configuration inside the box, with its ratio enclosed by the
+    chart's generated evaluator (`_evaluate_witness`). Without constraints
+    any point of the box is a configuration: the witness is the point box
+    at the centre of an eighths window of each dimension, in the box's own
+    coordinates (a compactified dimension's point s stands for the exact
+    x = s/(1-s^2), which the evaluator encloses). With constraints each
+    constraint is solved exactly for one dimension, the others take small
+    rationals, and the float box is rounded outward around the solution. A
+    second attempt samples the other window (and flips the claim
+    orientation), in case the first point sits on a degeneracy or outside
+    a thin feasible sliver."""
     for bias in range(len(_WITNESS_WINDOWS)):
-        w = _witness_attempt(problem, box, bias)
+        if problem.constraints:
+            w = _solved_witness(problem, box, bias)
+        else:
+            w = _evaluate_witness(problem, [FI.point(_window_point(iv, bias))
+                                            for iv in box.ivs])
         if w is not None:
             return w
     return None
 
 
-def _witness_attempt(problem: BoundProblem, box: Box, bias: int) -> Optional[Witness]:
+def _solved_witness(problem: BoundProblem, box: Box, bias: int) -> Optional[Witness]:
     x_ranges: dict[str, Interval] = {}
     for i, dim in enumerate(problem.dims):
         s = box.ivs[i]
@@ -752,7 +793,7 @@ def _witness_attempt(problem: BoundProblem, box: Box, bias: int) -> Optional[Wit
             if root is None:
                 return None
             values[target] = root
-        return _evaluate_witness(problem, {d.var: values[d.var] for d in problem.dims})
+        return _evaluate_witness(problem, _enclosing_box(problem, values))
     except NegativeRadicandError:       # a square-root claim below zero
         return None
 
@@ -772,52 +813,52 @@ def _signed_sqrt(q: Polynomial, values: dict[str, ExactVal],
     return closure
 
 
-def _evaluate_witness(problem: BoundProblem,
-                      dim_values: dict[str, ExactVal]) -> Optional[Witness]:
-    """The witness of exact dimension values, from the chart's generated
-    evaluator over a float box around them: each value is enclosed at 2^-64
-    and rounded outward to floats. The box holds the exact point, so a
-    `feasible` box with no undecided sign condition certifies that the
-    point is a nondegenerate configuration (every constraint's enclosure
-    holds 0, every sign condition holds strictly and no divisor straddles
-    0), and its ratio enclosure holds the point's ratio. Margins are read
-    from the box's environment."""
+def _enclosing_box(problem: BoundProblem, values: dict[str, ExactVal]) -> list[FI]:
+    """A float box around exact dimension values: each value is enclosed at
+    2^-64 and rounded outward to floats (and mapped to s where the
+    dimension is compactified)."""
     ivs = []
     for dim in problem.dims:
-        v = exact_interval(dim_values[dim.var], Fraction(1, 2 ** 64))
+        v = exact_interval(values[dim.var], Fraction(1, 2 ** 64))
         lo, hi = FI.from_fraction(v.lo).lo, FI.from_fraction(v.hi).hi
         if dim.compactified:
             lo, hi = _unmap_real_line(lo, hi)
         ivs.append(FI(lo, hi))
+    return ivs
+
+
+def _evaluate_witness(problem: BoundProblem, ivs: list[FI]) -> Optional[Witness]:
+    """The witness of a float box holding one exact configuration, from the
+    chart's generated evaluator. A `feasible` box with no undecided sign
+    condition shows that every constraint's enclosure holds 0, every sign
+    condition holds strictly and no divisor of the definition chain
+    straddles 0, and its ratio enclosure holds the configuration's ratio.
+    The margins also hold the divisors of pruned definitions (the
+    collinearity determinant, say), which the chain never evaluates: each
+    is enclosed in `FI` arithmetic over the box's environment and must
+    exclude 0, or the configuration may be degenerate. The margin is the
+    smallest distance of a sign condition or margin enclosure from 0."""
     ev = problem.evaluate(ivs, lambda r: True)
     if ev.status != "feasible" or ev.sign_active or \
             not (math.isfinite(ev.ratio.lo) and math.isfinite(ev.ratio.hi)):
         return None
-    env: dict[str, Interval] = {}
-    for p in [*problem.margins, *(q for q, _ in problem.signconds)]:
-        for var in p.support() - env.keys():
-            iv = ev.env[problem.var_index[var]]
-            if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
-                return None
-            env[var] = Interval(Fraction(iv.lo), Fraction(iv.hi))
-    margin = math.inf
-    for comp, sign in problem.signconds:
-        iv = eval_poly_interval(comp, env)
+    margin = INF
+    for terms, sign in problem.witness_signconds:
+        iv = _fi_value(terms, ev.env)
         val = iv.lo if sign > 0 else -iv.hi
-        if val <= 0:
+        if not val > 0.0:
             return None
-        margin = min(margin, float(val))
-    for p in problem.margins:
-        iv = eval_poly_interval(p, env)
-        if iv.contains(0):
-            return None     # sits on the degeneracy boundary
-        margin = min(margin, float(min(abs(iv.lo), abs(iv.hi))))
+        margin = min(margin, val)
+    for terms in problem.witness_margins:
+        iv = _fi_value(terms, ev.env)
+        if iv.straddles_zero():
+            return None     # may sit on the degeneracy boundary
+        margin = min(margin, abs(iv.lo), abs(iv.hi))
     if problem.chart == "far":
         # the projective radius measures how far toward infinity the
         # configuration sits: a bound approached as rho -> 0 is a limit
         margin = min(margin, abs(ev.env[problem.var_index["_rho"]].mid()))
-    return Witness(ratio=Interval(Fraction(ev.ratio.lo), Fraction(ev.ratio.hi)),
-                   margin=margin)
+    return Witness(ratio=ev.ratio, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1021,7 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
         return ev.ratio.lo if minimize else -ev.ratio.hi
 
     def witness_value(w: Witness) -> float:
-        return float(w.ratio.hi) if minimize else -float(w.ratio.lo)
+        return w.ratio.hi if minimize else -w.ratio.lo
 
     heap: list[tuple[float, int, int, Box, BoxEval]] = []
     counter = 0
@@ -1071,8 +1112,8 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
 def _descend(problem: BoundProblem, start: list[float], minimize: bool,
              rounds: int = 60) -> Optional[list[float]]:
     """Float coordinate descent over the whole chart domain (unconstrained
-    problems only) — a cheap pre-search; only exact witness evaluation at
-    the returned point certifies anything."""
+    problems only) — a cheap pre-search; only a witness at the returned
+    point certifies anything."""
     if problem.constraints or problem.signconds:
         return None
 
@@ -1166,7 +1207,7 @@ def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
         w = witness_for_box(problem, Box(ivs))
         if w is None:
             return None
-        value = float(w.ratio.lo)
+        value = w.ratio.lo
         if last is not None and value <= last:
             return None  # not monotone toward the pole
         last = value
@@ -1184,10 +1225,10 @@ def _quick_unbounded(charts: list[BoundProblem]) -> Optional[_Side]:
         if root is None:
             continue
         w = _polished_witness(problem, root, False)
-        if (w is None or float(w.ratio.lo) <= UNBOUNDED_AT) and problem.chart == "far":
+        if (w is None or w.ratio.lo <= UNBOUNDED_AT) and problem.chart == "far":
             w = _ray_probe(problem, root)
-        if w is not None and float(w.ratio.lo) > UNBOUNDED_AT:
-            return _Side(floor=-INF, incumbent=-float(w.ratio.lo), witness=w,
+        if w is not None and w.ratio.lo > UNBOUNDED_AT:
+            return _Side(floor=-INF, incumbent=-w.ratio.lo, witness=w,
                          unbounded=True, timed_out=False, boxes=0)
     return None
 
@@ -1222,27 +1263,26 @@ def branch_and_bound(charts: Union[BoundProblem, list[BoundProblem]],
 
 
 def _assemble_side(side: _Side, minimize: bool, tol: Fraction) -> SideResult:
-    if side.unbounded:
-        return SideResult(None, "unbounded-evidence",
-                          side.witness.ratio if side.witness else None,
-                          side.witness.margin if side.witness else None)
-    if side.witness is None or side.floor == INF or side.floor == -INF:
-        return SideResult(None, "unknown")
     w = side.witness
+    ratio = Interval(Fraction(w.ratio.lo), Fraction(w.ratio.hi)) if w else None
+    if side.unbounded:
+        return SideResult(None, "unbounded-evidence", ratio, w.margin if w else None)
+    if w is None or side.floor == INF or side.floor == -INF:
+        return SideResult(None, "unknown")
     if minimize:
-        enclosure = Interval(min(Fraction(side.floor), w.ratio.lo), w.ratio.hi)
+        enclosure = Interval(min(Fraction(side.floor), ratio.lo), ratio.hi)
     else:
-        enclosure = Interval(w.ratio.lo, max(Fraction(-side.floor), w.ratio.hi))
+        enclosure = Interval(ratio.lo, max(Fraction(-side.floor), ratio.hi))
     # classification gate: the enclosure keeps its true width either way;
     # attainment flags are only issued when the bound is localized to a few
     # tolerances, "unknown" beyond that
     gap_ok = (side.incumbent - side.floor) <= 8 * float(tol)
     exact = exactify(enclosure)
     if not gap_ok:
-        return SideResult(enclosure, "unknown", w.ratio, w.margin, exact)
+        return SideResult(enclosure, "unknown", ratio, w.margin, exact)
     # attained: the best witness sits interior, with a clear margin from the
     # degeneracy boundary (a near-quadratic boundary approach leaves margins
     # around sqrt(tol), hence the absolute floor on the threshold)
     attained = w.margin >= max(10 * float(tol), 1e-3)
     return SideResult(enclosure, "attained" if attained else "limit-conjectured",
-                      w.ratio, w.margin, exact)
+                      ratio, w.margin, exact)

@@ -10,21 +10,30 @@ out inline, and each power of a variable is computed once per function and
 shared by every polynomial that uses it.
 
 Contract: every enclosure is bit-identical to the same formula evaluated
-with `FI` arithmetic, so a search visits the same boxes. Every
-floating-point operation happens in the same order, with the same
-rounding:
+with `FI` arithmetic, except that operations whose result is exact are not
+rounded (the exact-operation rule below), so a search visits the same boxes
+as an interpreter that follows the rule. Every other floating-point
+operation happens in the same order, with the same rounding:
 
-* a polynomial accumulates from (0.0, 0.0), term by term in the order of
-  its term dictionary, each term coefficient first, and the first sum is
-  rounded like every other;
+* the exact-operation rule, decided when the code is written: a product
+  with a known factor of exactly 1.0 or -1.0 is the other factor or its
+  negation, a product with a known factor of exactly 0.0 is the known
+  [0, 0] (`ZERO`), and a sum or difference with a `ZERO` second operand
+  is its first operand. No other operation is exact: a sum or product of
+  two unknowns, a power, a square root, an inverse or a scale by another
+  constant is rounded;
+* a polynomial accumulates term by term in the order of its term
+  dictionary, each term coefficient first; its first term x starts the
+  sum as x + 0.0, which is exact and turns -0.0 into +0.0;
 * quadratics are evaluated as completed squares plus a residual;
 * `down`/`up` keep their special cases (NaN, infinities, +0.0/-0.0), a
   0*inf corner of a product contributes 0, a division whose divisor
   straddles zero gives no quotient, and a square root clamps a negative
   lower end to 0.0;
 * an operation is folded at generation time only when all its operands
-  are known constants, and then it is folded with `FI` itself; an infinite
-  constant is written by name (`INF`, `NINF`).
+  are known constants, and then it is folded with `FI` itself (after the
+  exact-operation rule); an infinite constant is written by name (`INF`,
+  `NINF`).
 
 Interval endpoints are never NaN, lower ends are never +inf and upper ends
 never -inf (`down`/`up` cannot return them), so the NaN test after a
@@ -147,6 +156,17 @@ def _lit(x) -> str:
     if x == -INF:
         return "NINF"
     return repr(x)
+
+
+def _is_zero(v: V) -> bool:
+    return v.known and v.lo == 0.0 == v.hi
+
+
+def _unit(v: V):
+    """1.0 or -1.0 for a known point interval of that value, else None."""
+    if v.known and v.lo == v.hi and v.lo in (1.0, -1.0):
+        return v.lo
+    return None
 
 
 def _finite_nonzero(v: V) -> bool:
@@ -392,7 +412,18 @@ class Emitter:
         self.emit(f"{into[0]} = {_lit(v.lo)}")
         self.emit(f"{into[1]} = {_lit(v.hi)}")
 
+    def neg(self, v: V, into=None) -> V:
+        """-v, which is exact."""
+        if v.known:
+            return self._out(V(-v.hi, -v.lo), into)
+        lo, hi = into or self.pair()
+        self.emit(f"{lo} = -{_lit(v.hi)}")
+        self.emit(f"{hi} = -{_lit(v.lo)}")
+        return V(lo, hi)
+
     def add(self, a: V, b: V, into=None) -> V:
+        if _is_zero(b):
+            return self._out(a, into)
         if a.known and b.known:
             return self._out(_known(a.fi() + b.fi()), into)
         lo, hi = into or self.pair()
@@ -403,16 +434,18 @@ class Emitter:
         return V(lo, hi, a.pos and b.pos)
 
     def start_sum(self, term: V) -> V:
-        """(0.0, 0.0) + term for a product `term` (never NaN): 0.0 + x is x
-        except that -0.0 becomes +0.0, and it is rounded like any sum."""
+        """The first term of a sum as term + 0.0: exact, and -0.0 becomes
+        +0.0."""
         if term.known:
-            return self.add(ZERO, term)
+            return _known(FI(term.lo + 0.0, term.hi + 0.0))
         lo, hi = self.pair()
-        self.emit(f"{lo} = nextafter({term.lo}, NINF) if {term.lo} else 0.0")
-        self.emit(f"{hi} = nextafter({term.hi}, INF) if {term.hi} else 5e-324")
+        self.emit(f"{lo} = {term.lo} + 0.0")
+        self.emit(f"{hi} = {term.hi} + 0.0")
         return V(lo, hi, term.pos)
 
     def sub(self, a: V, b: V, into=None) -> V:
+        if _is_zero(b):
+            return self._out(a, into)
         if a.known and b.known:
             return self._out(_known(a.fi() - b.fi()), into)
         lo, hi = into or self.pair()
@@ -423,6 +456,12 @@ class Emitter:
         return V(lo, hi)
 
     def mul(self, x: V, y: V, into=None) -> V:
+        if _is_zero(x) or _is_zero(y):
+            return self._out(ZERO, into)
+        for p, q in ((x, y), (y, x)):
+            unit = _unit(p)
+            if unit is not None:
+                return self._out(q, into) if unit > 0 else self.neg(q, into)
         if x.known and y.known:
             return self._out(_known(x.fi() * y.fi()), into)
         a, b, c, d = x.lo, x.hi, y.lo, y.hi
@@ -603,8 +642,11 @@ class _Generator:
 
     @staticmethod
     def accumulate(f: Emitter, total: V, term: V) -> V:
-        """total + term for a product `term`."""
-        return f.start_sum(term) if total is ZERO else f.add(total, term)
+        """total + term for a product `term`; the sum starts at its first
+        term that is not `ZERO`."""
+        if _is_zero(total) and not _is_zero(term):
+            return f.start_sum(term)
+        return f.add(total, term)
 
     def poly(self, f: Emitter, env: _Env, p: Polynomial, quad: bool = False) -> V:
         """Value of p; a total-degree-2 p with quad=True as completed

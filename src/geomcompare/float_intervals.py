@@ -11,8 +11,10 @@ operation: `boxcode` writes each chart's evaluation out as straight-line
 code on float pairs, with `FI.__mul__`'s sign cases, `power`, `sqrt`,
 `divide` and `down`/`up` inlined, and its enclosures are bit-identical to
 these methods (same operations, same order, same rounding, the same NaN,
-infinity and signed-zero cases). A change to the arithmetic here must be
-made in `boxcode` too; `tests/test_codegen.py` compares the two.
+infinity and signed-zero cases) but for one rule: an operation whose
+result is exact, such as a product by a known 1, -1 or 0, is not rounded
+(see `boxcode`). A change to the arithmetic here must be made in `boxcode`
+too; `tests/test_codegen.py` compares the two.
 """
 
 from __future__ import annotations

@@ -396,3 +396,60 @@ def test_quadratic_radicand_factored_once(monkeypatch):
             calls.clear()
             assert to_radical(root).render() == want
             assert len(calls) == 1, (coeffs, calls)
+
+
+def test_biquadratic_radicand_factored_once(monkeypatch):
+    # both branches of rho share one radicand, whether or not the root
+    # denests (the golden ratio does, the Kochanski constant does not)
+    calls = []
+    original = algebraic._extract_square
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(algebraic, "_extract_square", counting)
+    for coeffs, rendered in (
+            ([1492, 0, -240, 0, 9], ["-sqrt(40/3+2*sqrt(3))", "-sqrt(40/3-2*sqrt(3))",
+                                     "sqrt(40/3-2*sqrt(3))", "sqrt(40/3+2*sqrt(3))"]),
+            ([1, 0, -3, 0, 1], ["(-1-sqrt(5))/2", "(1-sqrt(5))/2",
+                                "(sqrt(5)-1)/2", "(1+sqrt(5))/2"])):
+        roots = isolate_real_roots(U(coeffs))
+        assert len(roots) == len(rendered)
+        for root, want in zip(roots, rendered):
+            calls.clear()
+            assert to_radical(root).render() == want
+            assert len(calls) == 1, (coeffs, calls)
+
+
+def _squarefree_by_gcd(c):
+    """The squarefree part through the polynomial gcd, for any degree."""
+    d = algebraic._derive(c)
+    if not algebraic._trim(d[:]):
+        return c
+    g = algebraic._gcd(c, d)
+    if algebraic._degree(g) == 0:
+        return c
+    return algebraic._divmod_exact(c, g)[0]
+
+
+def test_quadratics_skip_the_squarefree_gcd(monkeypatch):
+    """A quadratic is squarefree exactly when its discriminant is nonzero:
+    no gcd is taken, and the roots, intervals included, are those of the
+    gcd path; a zero discriminant still takes the gcd."""
+    cases = list(_seeded_quadratics(40)) + [[1, 2, 1], [9, -12, 4],
+                                            [Fraction(1, 4), 1, 1], [-2, 0, 1]]
+    with monkeypatch.context() as m:
+        m.setattr(algebraic, "_squarefree", _squarefree_by_gcd)
+        want = [_roots_and_refinements(U(c, "x")) for c in cases]
+    calls = []
+    original = algebraic._gcd
+    monkeypatch.setattr(algebraic, "_gcd", lambda a, b: calls.append(a) or original(a, b))
+    zero_discriminants = 0
+    for c, roots in zip(cases, want):
+        calls.clear()
+        assert _roots_and_refinements(U(c, "x")) == roots, c
+        c0, c1, c2 = (Fraction(x) for x in c)
+        zero_discriminants += c1 * c1 == 4 * c2 * c0
+        assert bool(calls) == (c1 * c1 == 4 * c2 * c0), c
+    assert zero_discriminants == 3

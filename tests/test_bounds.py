@@ -174,7 +174,7 @@ def test_deterministic_single_worker():
 @pytest.mark.parametrize("name, boxes", [
     ("pythagoras_relaxed", 149),
     ("euler_inequality_isosceles", 258),
-    ("pentagon_diagonal_convex", 204),
+    ("pentagon_diagonal_convex", 192),
     ("right_triangle_perimeter_vs_circumradius", 352),
 ])
 def test_search_box_counts(name, boxes):
@@ -310,20 +310,41 @@ def _reference_witness(problem, dim_values, precision=Fraction(1, 2 ** 128)):
     return eval_poly_interval(problem.obj_num, env) / den, margin
 
 
+def _point_values(problem, ivs):
+    """The exact configuration of a point box: s itself, or x = s/(1-s^2)
+    where the dimension is compactified."""
+    values = {}
+    for dim, iv in zip(problem.dims, ivs):
+        assert iv.lo == iv.hi, (problem.chart, ivs)
+        s = Fraction(iv.lo)
+        values[dim.var] = s / (1 - s * s) if dim.compactified else s
+    return values
+
+
 def test_witness_ratios_contain_the_rational_reference(monkeypatch):
     """Each witness's ratio, enclosed by the generated evaluator over a
     float box, contains the rational enclosure of the ratio at the same
     exact point, and its margin classifies attainment (margin >=
-    max(10*tol, 1e-3)) as the exact margin does."""
+    max(10*tol, 1e-3)) as the exact margin does. The exact point is the
+    solved one on charts with constraints and the point box's own on the
+    others."""
     found = []
-    evaluate = bounds._evaluate_witness
+    solved = {}             # id of a solved float box -> (box, exact values)
+    evaluate, enclose = bounds._evaluate_witness, bounds._enclosing_box
 
-    def recording(problem, dim_values):
-        w = evaluate(problem, dim_values)
+    def enclosing(problem, values):
+        ivs = enclose(problem, values)
+        solved[id(ivs)] = (ivs, dict(values))
+        return ivs
+
+    def recording(problem, ivs):
+        w = evaluate(problem, ivs)
         if w is not None:
-            found.append((problem, dim_values, w))
+            values = solved[id(ivs)][1] if id(ivs) in solved else _point_values(problem, ivs)
+            found.append((problem, values, w))
         return w
 
+    monkeypatch.setattr(bounds, "_enclosing_box", enclosing)
     monkeypatch.setattr(bounds, "_evaluate_witness", recording)
     for _, problem, box in _seeded_witness_boxes(random.Random(5)):
         witness_for_box(problem, box)
@@ -331,6 +352,8 @@ def test_witness_ratios_contain_the_rational_reference(monkeypatch):
             # toward infinity, where the projective radius sets the margin
             witness_for_box(problem, Box([FI(1e-4, 1e-4)] + box.ivs[1:]))
     assert len({id(problem) for problem, _, _ in found}) >= 20
+    assert any(p.constraints for p, _, _ in found)
+    assert any(not p.constraints for p, _, _ in found)
     threshold = max(10 * 1e-6, 1e-3)
     for problem, values, w in found:
         ref = _reference_witness(problem, values)
@@ -338,6 +361,40 @@ def test_witness_ratios_contain_the_rational_reference(monkeypatch):
         ratio, margin = ref
         assert w.ratio.lo <= ratio.lo and ratio.hi <= w.ratio.hi, (values, w.ratio, ratio)
         assert (w.margin >= threshold) == (margin >= threshold), (values, w.margin, margin)
+
+
+def test_unconstrained_witnesses_use_no_rational_arithmetic(monkeypatch):
+    """On a chart without constraints a witness is a float point box: no
+    rational point, exact enclosure, rational polynomial evaluation or
+    claim solving."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational arithmetic in an unconstrained witness")
+
+    boxes = [(problem, box) for _, problem, box in _seeded_witness_boxes(random.Random(7))
+             if not problem.constraints]
+    assert len({id(problem) for problem, _ in boxes}) >= 10
+    for name in ("simplest_rational_in", "exact_interval", "eval_poly_interval",
+                 "solve_for", "Fraction"):
+        monkeypatch.setattr(bounds, name, refuse)
+    found = sum(witness_for_box(problem, box) is not None for problem, box in boxes)
+    assert found >= 100
+
+
+def test_point_box_on_a_degenerate_line_is_refused():
+    """C on the line AB (v6 = 0 on triangle_inequality's near chart) is a
+    degenerate triangle: the box evaluates as feasible, with a finite
+    ratio, but its margin (C's height) holds 0, so it is no witness."""
+    near = _charts("triangle_inequality")[0]
+    assert [d.var for d in near.dims] == ["v5", "v6"] and not near.constraints
+    degenerate = Box([FI(0.3, 0.3), FI(0.0, 0.0)])
+    ev = evaluate_box(near, degenerate, lambda r: True)
+    assert ev.status == "feasible" and not ev.sign_active
+    assert math.isfinite(ev.ratio.lo) and math.isfinite(ev.ratio.hi)
+    assert bounds._evaluate_witness(near, degenerate.ivs) is None
+    assert witness_for_box(near, degenerate) is None
+    # a point just off the line is a witness, with a small margin
+    w = witness_for_box(near, Box([FI(0.3, 0.3), FI(1e-6, 1e-6)]))
+    assert w is not None and 0.0 < w.margin < 1e-5
 
 
 # -- projective chart at infinity ---------------------------------------------

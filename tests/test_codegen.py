@@ -1,15 +1,22 @@
 """Differential test of the generated box evaluator (`boxcode`).
 
 The reference below is the interpreter that the generated code replaced:
-it walks each polynomial's terms over `FI` objects. On seeded boxes of
-every chart of every benchmark construction that compiles, the generated
-`evaluate_box`, its gradient fallback and `hull_contract` must agree with
-it bit for bit (signed zeros included).
+it walks each polynomial's terms over `FI` objects. It follows the
+generator's exact-operation rule: a value known when the code is written
+(`K`: a coefficient, a unit gradient entry, or a result of such values
+only) of exactly 0, 1 or -1 makes its product exact, a sum or difference
+with a `ZERO` second operand is its first, and a polynomial's sum starts at
+its first term plus 0.0. Every other
+operation is an `FI` operation. On seeded boxes of every chart of every
+benchmark construction that compiles, the generated `evaluate_box`, its
+gradient fallback and `hull_contract` must agree with it bit for bit
+(signed zeros included).
 """
 
 import glob
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -40,15 +47,75 @@ from geomcompare.presolve import presolve
 # ---------------------------------------------------------------------------
 
 
+class K(FI):
+    """A value the generator knows when it writes the code."""
+
+    __slots__ = ()
+
+
+ZERO, ONE = K(0.0, 0.0), K(1.0, 1.0)
+
+
+def known(result, *operands):
+    """`result` as a known value when every operand is known."""
+    if all(isinstance(v, K) for v in operands):
+        return K(result.lo, result.hi)
+    return result
+
+
+def unknown(v):
+    """A value the generated code stores in its locals: no longer known."""
+    return FI(v.lo, v.hi)
+
+
+def is_zero(v):
+    return isinstance(v, K) and v.lo == 0.0 == v.hi
+
+
+def mul(x, y):
+    if is_zero(x) or is_zero(y):
+        return ZERO
+    for p, q in ((x, y), (y, x)):
+        if isinstance(p, K) and p.lo == p.hi and p.lo in (1.0, -1.0):
+            return q if p.lo > 0.0 else known(-q, q)
+    return known(x * y, x, y)
+
+
+def add(x, y):
+    if is_zero(y):
+        return x
+    return known(x + y, x, y)
+
+
+def sub(x, y):
+    if is_zero(y):
+        return x
+    return known(x - y, x, y)
+
+
+def accumulate(total, term):
+    if is_zero(total) and not is_zero(term):
+        return type(term)(term.lo + 0.0, term.hi + 0.0)
+    return add(total, term)
+
+
+def power(v, e):
+    return v if e == 1 else known(v.power(e), v)
+
+
+def inverse(v):
+    return known(FI(down(1.0 / v.hi), up(1.0 / v.lo)), v)
+
+
 class CompiledPoly:
     def __init__(self, poly, index):
         self.terms = []
         for mono, coef in poly.terms.items():
             powers = tuple((index[poly.vars[i]], e) for i, e in enumerate(mono) if e)
-            self.terms.append((FI.from_fraction(coef), powers))
+            self.terms.append((known(FI.from_fraction(coef)), powers))
 
     def eval(self, env):
-        total = FI(0.0, 0.0)
+        total = ZERO
         cache = {}
         for coef, powers in self.terms:
             term = coef
@@ -56,24 +123,23 @@ class CompiledPoly:
                 p = cache.get(key)
                 if p is None:
                     idx, e = key
-                    p = env[idx] if e == 1 else env[idx].power(e)
+                    p = power(env[idx], e)
                     cache[key] = p
-                term = term * p
-            total = total + term
+                term = mul(term, p)
+            total = accumulate(total, term)
         return total
 
 
 class CompiledQuadratic:
     def __init__(self, poly, index):
         squares, rest = complete_squares(poly)
-        self.squares = [(a, CompiledPoly(form, index)) for a, form in squares]
+        self.squares = [(known(a), CompiledPoly(form, index)) for a, form in squares]
         self.residual = CompiledPoly(rest, index)
 
     def eval(self, env):
         total = self.residual.eval(env)
         for a, form in self.squares:
-            f = form.eval(env)
-            total = total + a * f.power(2)
+            total = accumulate(total, mul(a, power(form.eval(env), 2)))
         return total
 
 
@@ -122,19 +188,19 @@ class Reference:
                 rad = radicand.eval(env)
                 if rad.hi < 0.0:
                     return "infeasible", env
-                env[slot] = rad.sqrt()
+                env[slot] = known(rad.sqrt(), rad)
             else:
                 _, slot, num, den, _, _ = entry
                 n = num.eval(env)
                 if n.lo == 0.0 == n.hi:
-                    env[slot] = FI(0.0, 0.0)
+                    env[slot] = ZERO if is_zero(n) else FI(0.0, 0.0)
                     continue
-                q = n.divide(den.eval(env))
-                if q is None:
+                d = den.eval(env)
+                if d.straddles_zero():
                     status = "indeterminate"
                     env[slot] = FI(-INF, INF)
                 else:
-                    env[slot] = q
+                    env[slot] = unknown(mul(n, inverse(d)))
         return status, env
 
     def evaluate(self, box, prune_key=None):
@@ -157,9 +223,9 @@ class Reference:
         sign_active = frozenset(sign_active)
         den = self.c_den.eval(env)
         num = self.c_num.eval(env)
-        ratio = num.divide(den)
-        if ratio is None:
+        if den.straddles_zero():
             return ("indeterminate", env, one_sided(num, den), None, sign_active)
+        ratio = unknown(mul(num, inverse(den)))
         if prune_key is not None and prune_key(ratio):
             return (status, env, ratio, None, sign_active)
         cratio = self.center_value(box)
@@ -168,8 +234,6 @@ class Reference:
             table = self.grad_table(box, env)
             for _ in range(2):
                 grads = self.combine(env, table, ratio)
-                if grads is None:
-                    break
                 total = cratio
                 for j in range(p.n_dims):
                     s = box.ivs[j]
@@ -188,24 +252,26 @@ class Reference:
         if cstatus != "feasible":
             return None
         cden = self.c_den.eval(cenv)
-        return self.c_num.eval(cenv).divide(cden)
+        if cden.straddles_zero():
+            return None
+        return unknown(mul(self.c_num.eval(cenv), inverse(cden)))
 
     def grad_table(self, box, env):
         p = self.p
         n = p.n_dims
         grad = []
         for i, dim in enumerate(p.dims):
-            row = [FI(0.0, 0.0)] * n
-            row[i] = map_real_line_grad(box.ivs[i]) if dim.compactified else FI(1.0, 1.0)
+            row = [ZERO] * n
+            row[i] = map_real_line_grad(box.ivs[i]) if dim.compactified else ONE
             grad.append(row)
 
         def poly_grad(partials):
-            out = [FI(0.0, 0.0)] * n
+            out = [ZERO] * n
             for vname, dp in partials.items():
                 slot = p.var_index[vname]
                 coeff = dp.eval(env)
                 for j in range(n):
-                    out[j] = out[j] + coeff * grad[slot][j]
+                    out[j] = accumulate(out[j], mul(coeff, grad[slot][j]))
             return out
 
         for entry in self.c_defs:
@@ -216,8 +282,12 @@ class Reference:
                     grad.append([FI(-INF, INF)] * n)
                     continue
                 base = poly_grad(parts)
-                two_root = root.scale(2.0)
-                grad.append([b.divide(two_root) or FI(-INF, INF) for b in base])
+                two_root = known(root.scale(2.0), root)
+                if two_root.straddles_zero():
+                    grad.append([FI(-INF, INF)] * n)
+                    continue
+                inv = inverse(two_root)
+                grad.append([unknown(mul(b, inv)) for b in base])
             else:
                 _, slot, _num, den, pnum, pden = entry
                 v = env[slot]
@@ -229,20 +299,16 @@ class Reference:
                     grad.append([FI(-INF, INF)] * n)
                     continue
                 gn, gd = poly_grad(pnum), poly_grad(pden)
-                grad.append([(gn[j] - v * gd[j]).divide(d) or FI(-INF, INF)
+                inv = inverse(d)
+                grad.append([unknown(mul(sub(gn[j], mul(v, gd[j])), inv))
                              for j in range(n)])
         return (poly_grad(self.d_num), poly_grad(self.d_den))
 
     def combine(self, env, table, ratio):
         gnum, gden = table
-        den = self.c_den.eval(env)
-        out = []
-        for j in range(self.p.n_dims):
-            g = (gnum[j] - ratio * gden[j]).divide(den)
-            if g is None:
-                return None
-            out.append(g)
-        return out
+        inv = inverse(self.c_den.eval(env))
+        return [unknown(mul(sub(gnum[j], mul(ratio, gden[j])), inv))
+                for j in range(self.p.n_dims)]
 
     def hull_contract(self, box, max_rounds=6):
         p = self.p
@@ -257,6 +323,8 @@ class Reference:
             for comp in self.c_constraints:
                 if not comp.eval(env).straddles_zero():
                     return None
+            # the narrowers and sign conditions read a flat list
+            env = [unknown(v) for v in env]
             for i, parts in self.c_narrow:
                 new_x = narrow_univariate(parts, env)
                 if new_x == "infeasible":
@@ -440,6 +508,20 @@ def test_generated_hull_contract_matches_interpreter(label, problem):
                                                   _show(problem))
 
 
+# `x = nextafter(y, ...)` or `x = nextafter(-y, ...)`: rounding a copy of
+# another local, whose value is an exact result
+_REROUNDING = re.compile(r"^\s*(\w+) = \(?nextafter\((-?)(\w+), ")
+
+
+@pytest.mark.parametrize("label,problem", CHARTS, ids=[c[0] for c in CHARTS])
+def test_exact_results_are_not_rounded_again(label, problem):
+    source = problem.evaluator_source
+    rounded = [line for line in source.splitlines()
+               if (m := _REROUNDING.match(line)) and (m.group(2) or m.group(3) != m.group(1))]
+    assert not rounded, (label, rounded)
+    assert "nextafter" in source
+
+
 def test_differential_cases_cover_the_bounds_path():
     names = {label.split(":")[0] for label, _ in CHARTS}
     assert {"medians", "right_triangle_perimeter_vs_circumradius",
@@ -541,7 +623,14 @@ def test_inline_product_matches_fi_on_special_values():
                     else (lambda f: f.mul(V("a", "b"), V(*y)))
                 fn, _ = _compiled("def g(a, b):", body)
                 got = fn(*(y if known_left else x))
-                assert same_fi(FI(*got), want), (x, y, known_left, got, want)
+                factor, other = (x, y) if known_left else (y, x)
+                if factor[0] == factor[1] and factor[0] in (0.0, 1.0, -1.0):
+                    # the exact-operation rule: no rounding
+                    exact = {0.0: (0.0, 0.0), 1.0: other,
+                             -1.0: (-other[1], -other[0])}[factor[0]]
+                    assert same_fi(FI(*got), FI(*exact)), (x, y, known_left, got)
+                else:
+                    assert same_fi(FI(*got), want), (x, y, known_left, got, want)
 
 
 def test_inline_square_point_power_and_sqrt_match_fi():
@@ -559,6 +648,18 @@ def test_inline_square_point_power_and_sqrt_match_fi():
         if same_float(x[0], x[1]):
             for y in INTERVALS:
                 assert same_fi(FI(*point(x[0], *y)), FI(*x) * FI(*y)), (x, y)
+
+
+def test_inline_exact_operations_are_not_rounded():
+    # a sum starts at its first term + 0.0 (only -0.0 changes, to +0.0), and
+    # a sum or difference with a known zero second operand is the first
+    start, _ = _compiled("def start(a, b):", lambda f: f.start_sum(V("a", "b")))
+    plus, _ = _compiled("def plus(a, b):", lambda f: f.add(V("a", "b"), boxcode.ZERO))
+    minus, _ = _compiled("def minus(a, b):", lambda f: f.sub(V("a", "b"), boxcode.ZERO))
+    for x in INTERVALS:
+        assert same_fi(FI(*start(*x)), FI(x[0] + 0.0, x[1] + 0.0)), x
+        assert same_fi(FI(*plus(*x)), FI(*x)) and same_fi(FI(*minus(*x)), FI(*x)), x
+    assert same_fi(FI(*start(-0.0, -0.0)), FI(0.0, 0.0))
 
 
 def test_inline_product_corner_cases():
