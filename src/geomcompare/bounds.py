@@ -12,8 +12,8 @@ first-order centered form); certified upper bounds come from witnesses,
 exact configurations inside a box whose ratio is enclosed over a float box
 holding the configuration. Without constraints any point of the box is a
 configuration, and the witness is a float point box; with constraints
-every constraint is solved exactly at small rationals and the float box is
-rounded outward around the solution.
+each constraint is solved exactly for one coordinate, the others at small
+rationals, and the float box is rounded outward around the solution.
 
 Box evaluation is generated code: building a `BoundProblem` writes its
 definition chain, constraints, sign conditions, natural and centered forms

@@ -174,10 +174,6 @@ def _finite_nonzero(v: V) -> bool:
 
 
 def _product(x, y) -> str:
-    """x * y as source; a known factor of 1.0 or -1.0 is exact and dropped."""
-    for p, q in ((x, y), (y, x)):
-        if not isinstance(p, str) and p in (1.0, -1.0):
-            return _lit(q) if p == 1.0 else f"-{_lit(q)}"
     return f"{_lit(x)} * {_lit(y)}"
 
 
@@ -381,8 +377,8 @@ class Emitter:
     # -- rounding ----------------------------------------------------------
 
     def down(self, x: str, maybe_nan: bool = False, value: str = "") -> None:
-        """x = down(value), value defaulting to x; a value other than a
-        name or a negated name is computed into x first."""
+        """x = down(value), value defaulting to x; a value is computed into
+        x first."""
         self._round(x, "NINF", "<", maybe_nan, value)
 
     def up(self, x: str, maybe_nan: bool = False, value: str = "") -> None:
@@ -390,14 +386,12 @@ class Emitter:
 
     def _round(self, x: str, toward: str, zero_sign: str, maybe_nan: bool,
                value: str) -> None:
-        # a zero is moved only when its sign points the rounding's way
-        if value and not value.lstrip("-").isidentifier():
+        if value:
             self.emit(f"{x} = {value}")
-            value = ""
-        v = value or x
-        expr = f"nextafter({v}, {toward}) if {v} or copysign(1.0, {v}) {zero_sign} 0 else 0.0"
+        # a zero is moved only when its sign points the rounding's way
+        expr = f"nextafter({x}, {toward}) if {x} or copysign(1.0, {x}) {zero_sign} 0 else 0.0"
         if maybe_nan:
-            expr = f"({expr}) if {v} == {v} else {toward}"
+            expr = f"({expr}) if {x} == {x} else {toward}"
         self.emit(f"{x} = {expr}")
 
     # -- interval operations, each as FI does it ---------------------------
