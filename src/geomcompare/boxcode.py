@@ -629,7 +629,7 @@ class _Generator:
     def partials_of(self, p: Polynomial) -> dict[str, Polynomial]:
         key = (p.vars, tuple(p.terms.items()))
         if key not in self.partials:
-            self.partials[key] = {v: p.derivative(v) for v in p.support()}
+            self.partials[key] = {v: p.derivative(v) for v in sorted(p.support())}
         return self.partials[key]
 
     # -- polynomials -------------------------------------------------------

@@ -21,9 +21,11 @@ from geomcompare.bounds import (
     simplest_rational_in,
     split_box,
     witness_for_box,
+    _monotone_reduce,
     _unmap_point,
     _unmap_real_line,
 )
+from geomcompare.boxcode import BoxEval
 from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import ratio_sample
 from geomcompare.float_intervals import FI
@@ -172,7 +174,9 @@ def test_deterministic_single_worker():
 
 
 @pytest.mark.parametrize("name, boxes", [
-    ("pythagoras_relaxed", 149),
+    ("pythagoras_relaxed", 48),
+    ("medians", 4505),
+    ("triangle_inequality", 3672),
     ("euler_inequality_isosceles", 258),
     ("pentagon_diagonal_convex", 192),
     ("right_triangle_perimeter_vs_circumradius", 352),
@@ -183,6 +187,88 @@ def test_search_box_counts(name, boxes):
     res = branch_and_bound(_charts(name), deadline=time.monotonic() + 30)
     assert not res.timed_out
     assert res.boxes == boxes
+
+
+# -- monotone reduction ------------------------------------------------------
+
+def _same_point(iv, x):
+    return iv is not None and iv.lo == iv.hi == x
+
+
+def test_gradient_touching_zero_pins():
+    """A gradient enclosure that reaches 0 from one side pins its dimension
+    (a -0.0 end is 0); one that reaches below 0 by the least float does not."""
+    near = _charts("medians")[0]
+    box = Box([FI(0.1, 0.2), FI(0.3, 0.4)])
+
+    def reduced(g, minimize):
+        ev = BoxEval("feasible", None, FI(1.0, 2.0), [g, FI(-1.0, 1.0)])
+        out = _monotone_reduce(near, box, ev, minimize)
+        return None if out is None else out.ivs[0]
+
+    for g in (FI(0.0, 3.0), FI(-0.0, 3.0), FI(0.0, 0.0)):
+        assert _same_point(reduced(g, True), 0.1) and _same_point(reduced(g, False), 0.2)
+    for g in (FI(-3.0, 0.0), FI(-3.0, -0.0)):
+        assert _same_point(reduced(g, True), 0.2) and _same_point(reduced(g, False), 0.1)
+    assert reduced(FI(-5e-324, 3.0), True) is None
+    assert reduced(FI(-3.0, 5e-324), False) is None
+
+
+def _seeded_pin_boxes(problem, rng, count):
+    """Boxes whose widths run from 1e-6 of the chart domain to all of it;
+    each dimension starts on the domain's lower face one time in three."""
+    for _ in range(count):
+        ivs = []
+        for d in problem.dims:
+            width = (d.hi - d.lo) * 10.0 ** rng.uniform(-6.0, 0.0)
+            lo = d.lo if rng.random() < 1 / 3 else rng.uniform(d.lo, d.hi - width)
+            ivs.append(FI(lo, min(lo + width, d.hi)))
+        yield Box(ivs)
+
+
+def test_weak_pins_keep_every_feasible_point_on_their_side():
+    """Where `_monotone_reduce` pins a box, the enclosure of the pinned face
+    lies below (inf) or above (sup) the value at every sampled feasible
+    point of the box, also where a gradient end is exactly 0: the face
+    holds the box's extremum."""
+    rng = random.Random(13)
+    checks = pins = weak = 0
+    for name in ("medians", "triangle_inequality", "sum_square_vs_products",
+                 "pythagoras_relaxed"):
+        for problem in _charts(name):
+            assert not problem.constraints and not problem.signconds
+            for box in _seeded_pin_boxes(problem, rng, 200):
+                ev = evaluate_box(problem, box)
+                if ev.grads is None:
+                    continue
+                points = []
+                for _ in range(6):
+                    x = [iv.lo + (iv.hi - iv.lo) * rng.choice((0.0, 1.0, rng.random()))
+                         for iv in box.ivs]
+                    x = [min(max(v, iv.lo), iv.hi) for v, iv in zip(x, box.ivs)]
+                    pev = evaluate_box(problem, Box([FI(v, v) for v in x]))
+                    if pev.status == "feasible" and pev.ratio is not None:
+                        points.append((x, pev.ratio))
+                for minimize in (True, False):
+                    checks += 1
+                    face = _monotone_reduce(problem, box, ev, minimize)
+                    if face is None:
+                        continue
+                    pins += 1
+                    weak += any(iv.width() > 0.0 and fiv.width() == 0.0
+                                and (g.lo == 0.0 or g.hi == 0.0)
+                                for iv, fiv, g in zip(box.ivs, face.ivs, ev.grads))
+                    fev = evaluate_box(problem, face)
+                    where = (name, problem.chart, box.ivs, face.ivs, minimize)
+                    assert fev.status != "infeasible" or not points, where
+                    if fev.ratio is None:
+                        continue
+                    for x, r in points:
+                        if minimize:
+                            assert r.hi >= fev.ratio.lo, (where, x, r, fev.ratio)
+                        else:
+                            assert r.lo <= fev.ratio.hi, (where, x, r, fev.ratio)
+    assert checks >= 3000 and pins >= checks // 2 and weak >= 100, (checks, pins, weak)
 
 
 # -- unbounded evidence ----------------------------------------------------------

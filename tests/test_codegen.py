@@ -15,11 +15,14 @@ gradient fallback and `hull_contract` must agree with it bit for bit
 
 import glob
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -150,7 +153,7 @@ class Reference:
         self.p = problem
         idx = problem.var_index
         comp = lambda q: CompiledPoly(q, idx)
-        partials = lambda q: {v: comp(q.derivative(v)) for v in q.support()}
+        partials = lambda q: {v: comp(q.derivative(v)) for v in sorted(q.support())}
         quad = lambda q: CompiledQuadratic(q, idx) if q.total_degree() == 2 else comp(q)
         self.c_defs = []
         for d in problem.defs:
@@ -578,6 +581,30 @@ def test_compiles_where_the_c_library_has_no_malloc_trim(monkeypatch):
     got = [evaluate_box(p, box) for p in compile_charts(t) for box in boxes]
     for g, w in zip(got, want, strict=True):
         assert g.status == w.status and same_fi(g.ratio, w.ratio)
+
+
+_EMIT_SOURCES = """
+import sys
+from test_codegen import CHARTS
+for label, problem in CHARTS:
+    sys.stdout.write(f"# {label}\\n" + problem.evaluator_source)
+"""
+
+
+def test_evaluator_source_does_not_depend_on_the_hash_seed():
+    """Two processes with different string hash seeds emit the same source
+    for every chart: the order in which gradient sums accumulate sets the
+    last bits of the enclosures that the monotonicity test reads."""
+    root = Path(__file__).resolve().parent.parent
+    sources = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+        done = subprocess.run([sys.executable, "-c", _EMIT_SOURCES], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        sources.append(done.stdout)
+    assert sources[0].count("def evaluate(") == len(CHARTS)
+    assert sources[0] == sources[1]
 
 
 # ---------------------------------------------------------------------------
