@@ -1015,9 +1015,10 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
     -`UNBOUNDED_AT`, an emptied heap, or the deadline. Boxes narrower than
     `MIN_DIM_WIDTH` are dropped, their keys kept in the floor. A box that is
     weakly monotone in some dimension is replaced by its face
-    (`_monotone_reduce`), so a limit along a face is searched on it:
-    `medians` certifies its inf in 4,505 boxes, `triangle_inequality` in
-    3,672."""
+    (`_monotone_reduce`), so a limit along a face is searched on it. With
+    the direction-cosine gradients of distances (`boxcode`) the face's boxes
+    close at once: `medians` certifies its inf in 130 boxes,
+    `triangle_inequality` in 122."""
 
     def low_key(ev: BoxEval) -> float:
         if ev.ratio is None:

@@ -18,10 +18,11 @@ operation happens in the same order, with the same rounding:
 * the exact-operation rule, decided when the code is written: a product
   with a known factor of exactly 1.0 or -1.0 is the other factor or its
   negation, a product with a known factor of exactly 0.0 is the known
-  [0, 0] (`ZERO`), and a sum or difference with a `ZERO` second operand
-  is its first operand. No other operation is exact: a sum or product of
-  two unknowns, a power, a square root, an inverse or a scale by another
-  constant is rounded;
+  [0, 0] (`ZERO`), a sum or difference with a `ZERO` second operand
+  is its first operand, and the square root of a known constant is its
+  float root where that root is exact (`root_of_constant`). No other
+  operation is exact: a sum or product of two unknowns, a power, a square
+  root, an inverse or a scale by another constant is rounded;
 * a polynomial accumulates term by term in the order of its term
   dictionary, each term coefficient first; its first term x starts the
   sum as x + 0.0, which is exact and turns -0.0 into +0.0;
@@ -33,7 +34,17 @@ operation happens in the same order, with the same rounding:
 * an operation is folded at generation time only when all its operands
   are known constants, and then it is folded with `FI` itself (after the
   exact-operation rule); an infinite constant is written by name (`INF`,
-  `NINF`).
+  `NINF`);
+* the gradient table works in x, the coordinates of the definition chain:
+  a dimension's row is its unit vector, and dx/ds of a compactified
+  dimension multiplies the ratio's gradient (gnum - r * gden) / den once,
+  in the centered-form loop. A root whose radicand is a sum of completed
+  squares sum(a_i L_i^2) plus a constant r >= 0 (every distance) has the
+  row sum(sqrt(a_i) u_i dL_i), each direction cosine u_i enclosed by
+  `float_intervals.direction_cosine` over sqrt(a_i) L_i and the sum of the
+  radicand's other terms; the generated code calls that function as it is.
+  Other roots have the row dR / (2 sqrt(R)), and a root whose lower end
+  reaches 0 the whole line.
 
 Interval endpoints are never NaN, lower ends are never +inf and upper ends
 never -inf (`down`/`up` cannot return them), so the NaN test after a
@@ -58,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .float_intervals import FI, INF, down, up
+from .float_intervals import FI, INF, direction_cosine, down, up
 from .polynomials import Polynomial
 
 
@@ -69,6 +80,15 @@ class BoxEval:
     ratio: Optional[FI] = None
     grads: Optional[list[FI]] = None   # d(ratio)/d(param) over the box
     sign_active: frozenset = frozenset()   # dims in undecided sign conditions
+
+
+def root_of_constant(a: FI) -> FI:
+    """sqrt(a) for a known a > 0: the point root where a is a float whose
+    root is a float (exactly), else the outward `FI.sqrt`."""
+    r = math.sqrt(a.lo)
+    if a.lo == a.hi and Fraction(r) ** 2 == Fraction(a.lo):
+        return FI(r, r)
+    return a.sqrt()
 
 
 def one_sided_quotient(num: FI, den: FI) -> FI:
@@ -225,6 +245,7 @@ _HELPERS = {
     "FI": FI, "BoxEval": BoxEval, "one_sided": one_sided_quotient,
     "INF": INF, "NINF": -INF, "nextafter": math.nextafter,
     "copysign": math.copysign, "sqrt": math.sqrt, "EMPTY": frozenset(),
+    "cosine": direction_cosine,
 }
 # generated functions that others call
 _CALLEES = frozenset(("mul", "centre"))
@@ -573,6 +594,14 @@ class Emitter:
         self.up(hi)
         return V(lo, hi, v.pos and c >= 0)
 
+    def cosine(self, w: V, q: V) -> V:
+        """`direction_cosine` of w over q, called as it is."""
+        if w.known and q.known:
+            return _known(FI(*direction_cosine(w.lo, w.hi, q.lo, q.hi)))
+        lo, hi = self.pair()
+        self.emit(f"{lo}, {hi} = cosine({_lit(w.lo)}, {_lit(w.hi)}, {_lit(q.lo)}, {_lit(q.hi)})")
+        return V(lo, hi)
+
     def sqrt(self, v: V) -> V:
         """For a radicand whose upper end is >= 0."""
         if v.known:
@@ -651,13 +680,10 @@ class _Generator:
         if hit is not None:
             return hit
         if quad:
-            if key not in self.squares:
-                self.squares[key] = complete_squares(p)
-            squares, residual = self.squares[key]
+            squares, residual = self.completed(p)
             total = self.poly(f, env, residual)
             for a, form in squares:
-                square = f.power(self.poly(f, env, form), 2)
-                total = self.accumulate(f, total, f.mul(_known(a), square))
+                total = self.accumulate(f, total, self.square_term(f, env, a, form)[1])
         else:
             total = ZERO
             for mono, coef in p.terms.items():
@@ -668,6 +694,23 @@ class _Generator:
                 total = self.accumulate(f, total, term)
         f.remember(("poly", env.key, quad, key), total)
         return total
+
+    def completed(self, p: Polynomial) -> tuple[list[tuple[FI, Polynomial]], Polynomial]:
+        """`complete_squares(p)`, computed once per problem."""
+        key = (p.vars, tuple(p.terms.items()))
+        if key not in self.squares:
+            self.squares[key] = complete_squares(p)
+        return self.squares[key]
+
+    def square_term(self, f: Emitter, env: _Env, a: FI, form: Polynomial) -> tuple[V, V]:
+        """A completed square's linear form and a * form^2."""
+        key = ("square", env.key, a.lo, a.hi, form.vars, tuple(form.terms.items()))
+        hit = f.lookup(key)
+        if hit is None:
+            lin = self.poly(f, env, form)
+            hit = (lin, f.mul(_known(a), f.power(lin, 2)))
+            f.remember(key, hit)
+        return hit
 
     def power_of(self, f: Emitter, env: _Env, slot: int, e: int) -> V:
         if e == 1:
@@ -803,14 +846,21 @@ class _Generator:
                 out[j] = self.accumulate(f, out[j], f.mul(coeff, rows[slot][j]))
         return out
 
-    def grad_table(self, f: Emitter, env: _Env, box: list[V]) -> tuple[list[V], list[V]]:
-        """Gradient rows of every dimension and definition over the box;
-        returns the objective numerator and denominator gradients."""
+    def grad_table(self, f: Emitter, env: _Env,
+                   box: list[V]) -> tuple[list[V], list[V], list[V]]:
+        """Gradient rows of every dimension and definition over the box, in
+        x, the coordinates of the definition chain; returns the objective
+        numerator and denominator gradients and, per dimension, dx/ds (`ONE`
+        where x = s). The chain rule applies dx/ds once, to the ratio's
+        gradient: by subdistributivity that is never wider than seeding the
+        rows with it."""
         rows: dict[int, list[V]] = {}
+        scales = []
         for i, dim in enumerate(self.problem.dims):
             row = [ZERO] * self.n
-            row[i] = self.map_real_line_grad(f, box[i]) if dim.compactified else ONE
+            row[i] = ONE
             rows[i] = row
+            scales.append(self.map_real_line_grad(f, box[i]) if dim.compactified else ONE)
         for d in self.problem.defs:
             slot = self.index[d.var]
             names = [f.pair() for _ in range(self.n)]
@@ -821,18 +871,33 @@ class _Generator:
             rows[slot] = [V(*name) for name in names]
         gnum = self.poly_grad(f, env, rows, self.partials_of(self.problem.obj_num))
         gden = self.poly_grad(f, env, rows, self.partials_of(self.problem.obj_den))
-        return gnum, gden
+        return gnum, gden, scales
 
     @staticmethod
     def fill(f: Emitter, names: list, value: V) -> None:
         for name in names:
             f.assign(name, value)
 
+    def cosine_form(self, radicand: Polynomial):
+        """The completed squares and residual of a radicand sum(a_i L_i^2) + r
+        with r a constant >= 0 (every distance), else None; every a_i > 0."""
+        if radicand.total_degree() != 2:
+            return None
+        squares, residual = self.completed(radicand)
+        if not squares or not residual.is_constant() or residual.constant_value() < 0:
+            return None
+        return squares, residual
+
     def sqrt_row(self, f: Emitter, env: _Env, rows: dict, d, slot: int, names: list) -> None:
-        # d sqrt(R) = dR / (2 sqrt(R)); the whole line where the root reaches 0
+        # d sqrt(R) = dR / (2 sqrt(R)), or by direction cosines for a sum of
+        # squares; the whole line where the root reaches 0
         root = env.slots[slot]
+        cosines = self.cosine_form(d.radicand)
 
         def derivative():
+            if cosines is not None:
+                self.cosine_row(f, env, rows, *cosines, names)
+                return
             base = self.poly_grad(f, env, rows, self.partials_of(d.radicand))
             two_root = f.scale(root, 2.0)
 
@@ -844,6 +909,28 @@ class _Generator:
             f.branch(_straddles(two_root), lambda: self.fill(f, names, WHOLE), divide)
 
         f.branch(_cmp(root.lo, "<="), lambda: self.fill(f, names, WHOLE), derivative)
+
+    def cosine_row(self, f: Emitter, env: _Env, rows: dict, squares: list,
+                   residual: Polynomial, names: list) -> None:
+        """d sqrt(R) = sum(sqrt(a_i) u_i dL_i) with u_i = sqrt(a_i) L_i / sqrt(R),
+        enclosed by `direction_cosine` over sqrt(a_i) L_i and the rest of R.
+        Where L_i keeps one sign and the rest of R reaches 0, u_i is -1 or 1,
+        so distances along a line have exact unit derivatives."""
+        terms = [self.square_term(f, env, a, form) for a, form in squares]
+        out = [ZERO] * self.n
+        for i, (a, form) in enumerate(squares):
+            rest = self.poly(f, env, residual)
+            for k, (_, term) in enumerate(terms):
+                if k != i:
+                    rest = self.accumulate(f, rest, term)
+            root_a = _known(root_of_constant(a))
+            u = f.cosine(f.mul(root_a, terms[i][0]), rest)
+            weight = f.mul(root_a, u)
+            dform = self.poly_grad(f, env, rows, self.partials_of(form))
+            for j in range(self.n):
+                out[j] = self.accumulate(f, out[j], f.mul(weight, dform[j]))
+        for name, v in zip(names, out):
+            f.assign(name, v)
 
     def quotient_row(self, f: Emitter, env: _Env, rows: dict, d, slot: int,
                      names: list) -> None:
@@ -938,13 +1025,15 @@ class _Generator:
         f.emit("if c is None:")
         f.emit("    return BoxEval(status, env, r, None, act)")
         f.emit("crl, crh = c")
-        gnum, gden = self.grad_table(f, env, box)
+        gnum, gden, scales = self.grad_table(f, env, box)
         grads = [(f"g{j}l", f"g{j}h") for j in range(self.n)]
         listed = "[" + ", ".join(f"FI({g[0]}, {g[1]})" for g in grads) + "]"
         with f.block("for _ in (0, 1):"):
-            # den does not straddle zero here: the natural quotient exists
+            # den does not straddle zero here: the natural quotient exists;
+            # the gradient in x times dx/ds is the gradient in s
             for j in range(self.n):
-                f.mul(f.sub(gnum[j], f.mul(ratio, gden[j])), inv, into=grads[j])
+                in_x = f.mul(f.sub(gnum[j], f.mul(ratio, gden[j])), inv)
+                f.mul(in_x, scales[j], into=grads[j])
             total = V("crl", "crh")
             for j in range(self.n):
                 half = f.sub(box[j], V(f"m{j}", f"m{j}"))

@@ -147,8 +147,10 @@ def _has_free_coordinates(t: Translation) -> bool:
 
 def numeric_crosscheck(result: ExactRatioResult, t: Translation, trials: int,
                        rng: Optional[random.Random] = None) -> list[bool]:
-    """Mark each candidate witnessed/never-witnessed against random
-    instantiations; at least one candidate must be witnessed."""
+    """Mark each candidate witnessed/never-witnessed against up to `trials`
+    random instantiations; at least one candidate must be witnessed.
+    Sampling stops once every candidate is witnessed: later trials cannot
+    change a flag."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng or random.Random(20210903)
@@ -164,6 +166,8 @@ def numeric_crosscheck(result: ExactRatioResult, t: Translation, trials: int,
             if ratio.intersect(cand.isolating.hull(cand.isolating)) is not None or \
                _close(ratio, cand.isolating, Fraction(1, 10 ** 20)):
                 witnessed[i] = True
+        if all(witnessed):
+            break
     if not any(witnessed):
         raise NoCandidateWitnessedError(
             "no exact ratio candidate matches any sampled configuration")

@@ -15,6 +15,11 @@ infinity and signed-zero cases) but for one rule: an operation whose
 result is exact, such as a product by a known 1, -1 or 0, is not rounded
 (see `boxcode`). A change to the arithmetic here must be made in `boxcode`
 too; `tests/test_codegen.py` compares the two.
+
+`direction_cosine` encloses sqrt(a) L / sqrt(R) for one completed square
+a L^2 of a distance's radicand R. The generated gradient table calls it as
+it is. It bounds that square's share of the distance's derivative by
+sqrt(a) |dL|, where dR / (2 sqrt(R)) would enclose L twice, independently.
 """
 
 from __future__ import annotations
@@ -166,3 +171,41 @@ class FI:
 
     def __repr__(self):
         return f"fi[{self.lo!r}, {self.hi!r}]"
+
+
+def direction_cosine(wl: float, wh: float, ql: float, qh: float) -> tuple[float, float]:
+    """Ends of an enclosure of u = w / sqrt(w^2 + q) over [wl, wh] x
+    ([ql, qh] meet [0, inf)), a subset of [-1, 1].
+
+    With R = sum(a_i * L_i^2) + r, every a_i > 0 and r >= 0 a constant,
+    w = sqrt(a_i) * L_i and q = R - a_i * L_i^2, u is the direction cosine in
+    d sqrt(R) = sum(sqrt(a_i) * u_i * dL_i). u increases with w, and |u|
+    decreases with q, so each end is u at one corner, rounded outward: the
+    lower end at (wl, qh) for wl >= 0 and at (wl, ql) below, the upper end at
+    (wh, ql) for wh >= 0 and at (wh, qh) below. A corner with q = 0 gives
+    exactly -1 or 1 and one with w = 0 gives 0 (the interval's points there
+    are 0 or not in the domain R > 0). Infinite ends give [-1, 1]."""
+    if wl == -INF or wh == INF or qh == INF:
+        return -1.0, 1.0
+    if ql < 0.0:
+        ql = 0.0
+    return (_cosine_at(wl, qh if wl >= 0.0 else ql, upward=False),
+            _cosine_at(wh, ql if wh >= 0.0 else qh, upward=True))
+
+
+def _cosine_at(w: float, q: float, upward: bool) -> float:
+    """w / sqrt(w^2 + q) for finite w and q >= 0, rounded toward +inf
+    (`upward`) or -inf."""
+    if w == 0.0:
+        return 0.0
+    if q == 0.0:
+        return 1.0 if w > 0.0 else -1.0
+    a = abs(w)
+    if (w > 0.0) == upward:
+        # an upper bound of the magnitude: the root rounded down
+        den = down(math.sqrt(down(down(a * a) + q)))
+        m = 1.0 if den <= 0.0 else min(1.0, up(a / den))
+    else:
+        # a lower bound: the root rounded up (an overflowed root gives 0)
+        m = down(a / up(math.sqrt(up(up(a * a) + q))))
+    return m if w > 0.0 else -m

@@ -7,7 +7,10 @@ generator's exact-operation rule: a value known when the code is written
 only) of exactly 0, 1 or -1 makes its product exact, a sum or difference
 with a `ZERO` second operand is its first, and a polynomial's sum starts at
 its first term plus 0.0. Every other
-operation is an `FI` operation. On seeded boxes of every chart of every
+operation is an `FI` operation, or `direction_cosine`, which belongs to the
+same arithmetic. The gradient table follows the generator's two rules: rows
+in x with dx/ds applied once to the ratio's gradient, and direction cosines
+for the roots of sums of squares. On seeded boxes of every chart of every
 benchmark construction that compiles, the generated `evaluate_box`, its
 gradient fallback and `hull_contract` must agree with it bit for bit
 (signed zeros included).
@@ -24,6 +27,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from geomcompare import boxcode
@@ -41,7 +45,7 @@ from geomcompare.bounds import (
     hull_contract,
 )
 from geomcompare.construction import parse_construction, translate
-from geomcompare.float_intervals import FI, INF, down, up
+from geomcompare.float_intervals import FI, INF, direction_cosine, down, up
 from geomcompare.polynomials import Polynomial
 from geomcompare.presolve import presolve
 
@@ -110,6 +114,18 @@ def inverse(v):
     return known(FI(down(1.0 / v.hi), up(1.0 / v.lo)), v)
 
 
+def root_of(a):
+    """sqrt of a known constant: exact where the float root is exact."""
+    r = math.sqrt(a.lo)
+    if a.lo == a.hi and Fraction(r) ** 2 == Fraction(a.lo):
+        return K(r, r)
+    return known(a.sqrt(), a)
+
+
+def cosine(w, q):
+    return known(FI(*direction_cosine(w.lo, w.hi, q.lo, q.hi)), w, q)
+
+
 class CompiledPoly:
     def __init__(self, poly, index):
         self.terms = []
@@ -146,6 +162,15 @@ class CompiledQuadratic:
         return total
 
 
+def is_distance(radicand):
+    """A radicand sum(a_i L_i^2) + r with r a constant >= 0 once its squares
+    are completed: its root's gradient goes by direction cosines."""
+    if radicand.total_degree() != 2:
+        return False
+    squares, rest = complete_squares(radicand)
+    return bool(squares) and rest.is_constant() and rest.constant_value() >= 0
+
+
 class Reference:
     """The interpreted evaluator of one problem."""
 
@@ -155,11 +180,19 @@ class Reference:
         comp = lambda q: CompiledPoly(q, idx)
         partials = lambda q: {v: comp(q.derivative(v)) for v in sorted(q.support())}
         quad = lambda q: CompiledQuadratic(q, idx) if q.total_degree() == 2 else comp(q)
+
+        def cosines(q):
+            if not is_distance(q):
+                return None
+            squares, rest = complete_squares(q)
+            return comp(rest), [(known(a), root_of(known(a)), comp(form), partials(form))
+                                for a, form in squares]
+
         self.c_defs = []
         for d in problem.defs:
             if isinstance(d, SqrtDef):
                 self.c_defs.append(("sqrt", idx[d.var], quad(d.radicand),
-                                    partials(d.radicand)))
+                                    partials(d.radicand), cosines(d.radicand)))
             else:
                 self.c_defs.append(("div", idx[d.var], comp(d.num), comp(d.den),
                                     partials(d.num), partials(d.den)))
@@ -187,7 +220,7 @@ class Reference:
         status = "feasible"
         for entry in self.c_defs:
             if entry[0] == "sqrt":
-                _, slot, radicand, _ = entry
+                _, slot, radicand, _, _ = entry
                 rad = radicand.eval(env)
                 if rad.hi < 0.0:
                     return "infeasible", env
@@ -262,10 +295,11 @@ class Reference:
     def grad_table(self, box, env):
         p = self.p
         n = p.n_dims
+        # rows in x; dx/ds multiplies the ratio's gradient in `combine`
         grad = []
-        for i, dim in enumerate(p.dims):
+        for i in range(n):
             row = [ZERO] * n
-            row[i] = map_real_line_grad(box.ivs[i]) if dim.compactified else ONE
+            row[i] = ONE
             grad.append(row)
 
         def poly_grad(partials):
@@ -277,12 +311,33 @@ class Reference:
                     out[j] = accumulate(out[j], mul(coeff, grad[slot][j]))
             return out
 
+        def cosine_row(cosines):
+            # sum(sqrt(a_i) u_i dL_i), u_i enclosed over sqrt(a_i) L_i and
+            # the rest of the radicand
+            residual, squares = cosines
+            lins = [form.eval(env) for _, _, form, _ in squares]
+            terms = [mul(a, power(lin, 2)) for (a, _, _, _), lin in zip(squares, lins)]
+            out = [ZERO] * n
+            for i, (_, root_a, _, form_parts) in enumerate(squares):
+                rest = residual.eval(env)
+                for k, term in enumerate(terms):
+                    if k != i:
+                        rest = accumulate(rest, term)
+                weight = mul(root_a, cosine(mul(root_a, lins[i]), rest))
+                dform = poly_grad(form_parts)
+                for j in range(n):
+                    out[j] = accumulate(out[j], mul(weight, dform[j]))
+            return [unknown(v) for v in out]
+
         for entry in self.c_defs:
             if entry[0] == "sqrt":
-                _, slot, _radicand, parts = entry
+                _, slot, _radicand, parts, cosines = entry
                 root = env[slot]
                 if root.lo <= 0.0:
                     grad.append([FI(-INF, INF)] * n)
+                    continue
+                if cosines is not None:
+                    grad.append(cosine_row(cosines))
                     continue
                 base = poly_grad(parts)
                 two_root = known(root.scale(2.0), root)
@@ -305,12 +360,14 @@ class Reference:
                 inv = inverse(d)
                 grad.append([unknown(mul(sub(gn[j], mul(v, gd[j])), inv))
                              for j in range(n)])
-        return (poly_grad(self.d_num), poly_grad(self.d_den))
+        scales = [map_real_line_grad(box.ivs[i]) if dim.compactified else ONE
+                  for i, dim in enumerate(p.dims)]
+        return (poly_grad(self.d_num), poly_grad(self.d_den), scales)
 
     def combine(self, env, table, ratio):
-        gnum, gden = table
+        gnum, gden, scales = table
         inv = inverse(self.c_den.eval(env))
-        return [unknown(mul(sub(gnum[j], mul(ratio, gden[j])), inv))
+        return [unknown(mul(mul(sub(gnum[j], mul(ratio, gden[j])), inv), scales[j]))
                 for j in range(self.p.n_dims)]
 
     def hull_contract(self, box, max_rounds=6):
@@ -472,7 +529,19 @@ def _all_charts():
     return out
 
 
-CHARTS = _all_charts()
+def _weighted_distance():
+    """A root of 4x^2 + 4xy + 3y^2 + 2 = 4(x + y/2)^2 + 2y^2 + 2: squares with
+    weights 4 and 2 (an inexact root) and a positive residual, over one plain
+    and one compactified dimension; no benchmark chart has such a distance."""
+    names = ("x", "y", "r")
+    x, y, r = (Polynomial.variable(v, names) for v in names)
+    return BoundProblem(dims=[Dim("x", False, -1.0, 1.0), Dim("y", True, -0.9, 0.9)],
+                        defs=[SqrtDef("r", 4 * x * x + 4 * x * y + 3 * y * y + 2)],
+                        constraints=[], signconds=[], margins=[], obj_num=r + x * y,
+                        obj_den=Polynomial.constant(1, names) + x * x)
+
+
+CHARTS = _all_charts() + [("weighted_distance:0", _weighted_distance())]
 
 
 def _show(problem):
@@ -608,6 +677,82 @@ def test_evaluator_source_does_not_depend_on_the_hash_seed():
 
 
 # ---------------------------------------------------------------------------
+# gradient enclosures against the exact derivative
+# ---------------------------------------------------------------------------
+
+def _mp_poly(p, env):
+    total = mpmath.mpf(0)
+    for mono, c in p.terms.items():
+        term = mpmath.mpf(c.numerator) / c.denominator
+        for v, e in zip(p.vars, mono):
+            if e:
+                term *= env[v] ** e
+        total += term
+    return total
+
+
+def _mp_ratio(problem, s):
+    """The chart's ratio at parameters s, through its definition chain."""
+    env = {}
+    for d, x in zip(problem.dims, s):
+        env[d.var] = x / (1 - x * x) if d.compactified else x
+    for d in problem.defs:
+        if isinstance(d, SqrtDef):
+            env[d.var] = mpmath.sqrt(_mp_poly(d.radicand, env))
+        else:
+            env[d.var] = _mp_poly(d.num, env) / _mp_poly(d.den, env)
+    return _mp_poly(problem.obj_num, env) / _mp_poly(problem.obj_den, env)
+
+
+def _gradient_boxes(problem, rng, count):
+    """Widths from 1e-6 of the chart domain to all of it; one box in three
+    has a dimension pinned to the domain's lower face."""
+    for _ in range(count):
+        ivs = []
+        for d in problem.dims:
+            width = (d.hi - d.lo) * 10.0 ** rng.uniform(-6.0, 0.0)
+            lo = rng.uniform(d.lo, d.hi - width)
+            ivs.append(FI(lo, min(lo + width, d.hi)))
+        if rng.random() < 1 / 3:
+            j = rng.randrange(len(ivs))
+            ivs[j] = FI(problem.dims[j].lo, problem.dims[j].lo)
+        yield Box(ivs)
+
+
+FREE = [c for c in CHARTS if not c[1].constraints and not c[1].signconds]
+
+
+def test_gradient_enclosures_hold_the_derivative():
+    """Every generated gradient enclosure holds the derivative of the exact
+    ratio (mpmath, 60 digits) at sampled points of its box, on every chart
+    without constraints: there the dimensions are free, pinning reads the
+    gradients, and distances on a lower face have unit derivatives."""
+    rng = random.Random("gradients")
+    assert {p.chart for _, p in FREE} == {"near", "far"}
+    checks = 0
+    with mpmath.workdps(60):
+        for label, problem in FREE:
+            for box in _gradient_boxes(problem, rng, 60):
+                ev = evaluate_box(problem, box)
+                if ev.grads is None:
+                    continue
+                for _ in range(3):
+                    s = [mpmath.mpf(rng.uniform(iv.lo, iv.hi)) for iv in box.ivs]
+                    for j, g in enumerate(ev.grads):
+                        if g.lo == -INF and g.hi == INF:
+                            continue
+                        try:
+                            d = mpmath.diff(
+                                lambda x: _mp_ratio(problem, s[:j] + [x] + s[j + 1:]), s[j])
+                        except ZeroDivisionError:
+                            continue
+                        slack = mpmath.mpf(10) ** -40 * max(1, abs(d))
+                        assert g.lo - slack <= d <= g.hi + slack, (label, box.ivs, s, j, g, d)
+                        checks += 1
+    assert checks >= 3000, checks
+
+
+# ---------------------------------------------------------------------------
 # the inlined product
 # ---------------------------------------------------------------------------
 
@@ -718,3 +863,71 @@ def test_huge_coefficient_compiles_and_encloses_the_whole_line():
     for ivs in ([FI(-1.0, 1.0)], [FI(0.5, 1.0)], [FI(0.25, 0.25)]):
         ev = evaluate_box(problem, Box(ivs))
         assert (ev.ratio.lo, ev.ratio.hi) == (-INF, INF), ivs
+
+
+# ---------------------------------------------------------------------------
+# the direction cosine
+# ---------------------------------------------------------------------------
+
+def _below(c, w, q):
+    """c <= w / sqrt(w^2 + q), decided in rationals."""
+    c, w, q = Fraction(c), Fraction(w), Fraction(q)
+    if w == 0:
+        return c <= 0
+    if (c <= 0) != (w < 0):
+        return c <= 0
+    # same signs: compare the squares
+    return c * c * (w * w + q) <= w * w if c > 0 else c * c * (w * w + q) >= w * w
+
+
+def _encloses(w, q):
+    lo, hi = direction_cosine(*w, *q)
+    return -1.0 <= lo <= hi <= 1.0 and all(
+        _below(lo, x, y) and _below(-hi, -x, y)
+        for x in (w[0], w[1], 0.5 * (w[0] + w[1])) for y in (q[0], q[1], 0.5 * (q[0] + q[1]))
+        if y >= 0.0 and (x != 0.0 or y != 0.0))
+
+
+def test_direction_cosine_is_exact_where_the_rest_reaches_zero():
+    # a linear form of one sign and a rest whose lower end is 0: the outer
+    # end is exactly 1 or -1, and both ends where the rest is [0, 0]
+    assert direction_cosine(0.5, 2.0, 0.0, 3.0)[1] == 1.0
+    assert direction_cosine(-2.0, -0.5, 0.0, 3.0)[0] == -1.0
+    assert direction_cosine(0.25, 0.75, 0.0, 0.0) == (1.0, 1.0)
+    assert direction_cosine(-0.75, -0.25, 0.0, 0.0) == (-1.0, -1.0)
+    # a rest of one subnormal: not exact, but within a few ulps of 1
+    lo, hi = direction_cosine(0.25, 0.75, 0.0, 5e-324)
+    assert hi == 1.0 and 1.0 - 1e-15 < lo < 1.0
+
+
+def test_direction_cosine_straddling_and_signed_zeros():
+    assert direction_cosine(-1.0, 2.0, 0.0, 1.0) == (-1.0, 1.0)
+    lo, hi = direction_cosine(-1.0, 2.0, 1.0, 1.0)
+    assert lo <= -math.sqrt(0.5) and hi >= 2.0 / math.sqrt(5.0)
+    assert lo > -math.sqrt(0.5) - 1e-15 and hi < 2.0 / math.sqrt(5.0) + 1e-15
+    for w in ((-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)):
+        assert direction_cosine(*w, 0.0, 1.0) == (0.0, 0.0)
+    assert direction_cosine(-0.0, 1.0, 0.0, 1.0) == (0.0, 1.0)
+    assert direction_cosine(-1.0, 0.0, 0.0, 1.0) == (-1.0, 0.0)
+    # a rest whose lower end is below 0 is met with [0, inf)
+    assert direction_cosine(0.5, 1.0, -3.0, 1.0) == direction_cosine(0.5, 1.0, 0.0, 1.0)
+
+
+def test_direction_cosine_subnormals_and_infinite_ends():
+    tiny = 5e-324
+    for w, q in (((tiny, tiny), (tiny, tiny)), ((tiny, 1.0), (tiny, 2.0)),
+                 ((-tiny, tiny), (0.0, tiny)), ((1.0, 1.0), (tiny, tiny)),
+                 ((1e-200, 1e-160), (1e-300, 1e-310 + 1e-300))):
+        assert _encloses(w, q), (w, q)
+    for w, q in (((-INF, 1.0), (0.0, 1.0)), ((0.5, INF), (0.0, 1.0)),
+                 ((0.5, 1.0), (1.0, INF)), ((-INF, INF), (0.0, INF))):
+        assert direction_cosine(*w, *q) == (-1.0, 1.0)
+
+
+def test_direction_cosine_encloses_sampled_rectangles():
+    rng = random.Random("cosine")
+    scales = (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150, 1e300)
+    for _ in range(3000):
+        w = sorted(rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(2))
+        q = sorted(abs(rng.uniform(-1.0, 1.0)) * rng.choice(scales + (0.0,)) for _ in range(2))
+        assert _encloses(w, q), (w, q)

@@ -188,3 +188,58 @@ def test_eliminated_poly_vanishes_at_sampled_ratios():
             coeffs = p.univariate_coeffs("m")
             val = sum(c * ratio.mid() ** i for i, c in enumerate(coeffs))
             assert abs(val) < Fraction(1, 10 ** 20)
+
+
+# -- crosscheck sampling stops once every candidate is witnessed ------------------
+
+EXACT_SUITE_CASES = ("pythagoras_right", "pentagon_diagonal", "pentagon_diagonal_convex",
+                     "kochanski_pi", "square_diagonal", "hexagon_long_diagonal")
+
+
+def _pipeline_rng(t):
+    """The random state `compare` hands to the crosscheck in auto mode: the
+    default seed, after the constant-ratio pre-sample."""
+    rng = random.Random(CompareConfig().rng_seed)
+    assert constant_ratio_evidence(t, rng) is None
+    return rng
+
+
+def _flags_of_every_trial(result, t, trials, rng):
+    """The crosscheck's flags when all `trials` configurations are sampled."""
+    refined = [c.value.refined(Fraction(1, 10 ** 22)).isolating for c in result.candidates]
+    flags = [False] * len(refined)
+    for _ in range(trials):
+        try:
+            ratio, _ = ratio_sample(t, rng, precision=Fraction(1, 2 ** 128))
+        except DegenerateInstance:
+            continue
+        for i, iso in enumerate(refined):
+            gap = max(iso.lo - ratio.hi, ratio.lo - iso.hi, Fraction(0))
+            flags[i] = flags[i] or gap <= Fraction(1, 10 ** 20)
+    return flags
+
+
+def test_crosscheck_stops_once_every_candidate_is_witnessed(monkeypatch):
+    import geomcompare.exact_ratio as exact_ratio
+    t = _prepared("pythagoras_right")
+    result = solve_mu(eliminate_to_mu(t))
+    calls = []
+    original = exact_ratio.ratio_sample
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact_ratio, "ratio_sample", counting)
+    assert numeric_crosscheck(result, t, trials=8, rng=random.Random(5)) == [True]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", EXACT_SUITE_CASES)
+def test_crosscheck_flags_equal_those_of_every_trial(name):
+    t = _prepared(name)
+    result = solve_mu(eliminate_to_mu(t))
+    trials = CompareConfig().crosscheck_trials
+    want = _flags_of_every_trial(result, t, trials, _pipeline_rng(t))
+    assert numeric_crosscheck(result, t, trials, _pipeline_rng(t)) == want
+    assert any(want)
