@@ -501,17 +501,6 @@ class RadicalForm:
     def rational(r) -> "RadicalForm":
         return RadicalForm(Fraction(r), Fraction(0), 0)
 
-    @staticmethod
-    def surd(a, b, d: int) -> "RadicalForm":
-        a, b = Fraction(a), Fraction(b)
-        if b == 0 or d == 0:
-            return RadicalForm.rational(a)
-        s, d2 = _extract_square(d)
-        b *= s
-        if d2 == 1:
-            return RadicalForm.rational(a + b)
-        return RadicalForm(a, b, d2)
-
     def value_interval(self, precision: Fraction = Fraction(1, 2 ** 64)) -> Interval:
         inner = Interval.point(self.a)
         if self.b:

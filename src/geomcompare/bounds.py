@@ -12,8 +12,10 @@ first-order centered form); certified upper bounds come from witnesses,
 exact configurations inside a box whose ratio is enclosed over a float box
 holding the configuration. Without constraints any point of the box is a
 configuration, and the witness is a float point box; with constraints
-each constraint is solved exactly for one coordinate, the others at small
-rationals, and the float box is rounded outward around the solution.
+each constraint is solved in floats for one coordinate, from the
+hull-consistency coefficients, and the root's enclosure is proved to hold
+a real root. Exact algebra is left to presenting the bounds (`exactify`,
+the small-rational stop and `_assemble_side`).
 
 Box evaluation is generated code: building a `BoundProblem` writes its
 definition chain, constraints, sign conditions, natural and centered forms
@@ -39,8 +41,7 @@ from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radi
 from .construction import Translation
 from .boxcode import BoxEval, compile_evaluator, evaluator_source
 from .float_intervals import FI, INF
-from .instantiate import ExactVal, exact_interval, solve_for
-from .intervals import Interval, NegativeRadicandError, eval_poly_interval, sqrt_interval
+from .intervals import Interval
 from .polynomials import Polynomial, poly_from_univariate
 
 UNBOUNDED_AT = 1e9         # incumbent beyond this is unbounded evidence
@@ -120,6 +121,16 @@ class BoundProblem:
         self.contract_env = entry.get("contract_env")
         self.signs_hold = entry.get("signs_hold")
         self.narrowers = entry.get("NARROWERS", [])
+        # the views a witness may solve for their dimension: those whose
+        # coefficients do not reach it through the definition chain either,
+        # with the dimensions the coefficients depend on
+        self.witness_views = []
+        for c, i, narrow in self.narrowers:
+            needs: set[int] = set()
+            for v in self.constraints[c].support() - {self.dims[i].var}:
+                needs |= dep_dims.get(v, set())
+            if i not in needs:
+                self.witness_views.append((c, i, frozenset(needs), narrow))
 
     @property
     def evaluator_source(self) -> str:
@@ -615,7 +626,7 @@ def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optio
         if env is None:
             return None
         gain = 0.0
-        for i, narrow in problem.narrowers:
+        for _, i, narrow in problem.narrowers:
             new_x = _narrow_univariate(*narrow(env))
             if new_x is _INFEASIBLE:
                 return None
@@ -653,15 +664,40 @@ def _narrow_univariate(a0: FI, a1: FI, a2: Optional[FI]):
     disc = a1 * a1 - (a2 * a0).scale(4.0)
     if disc.hi < 0.0:
         return _INFEASIBLE
-    root = disc.sqrt()
-    if root is None:
+    branches = _branches(a1, a2, disc)
+    if branches is None:
         return None
+    return branches[0].hull(branches[1])
+
+
+def _branches(a1: FI, a2: FI, disc: FI) -> Optional[tuple[FI, FI]]:
+    """The two branches (-a1 -+ sqrt(disc)) / (2 a2) of the quadratic
+    formula, None where a2 straddles 0."""
+    root = disc.sqrt()
     two_a2 = a2.scale(2.0)
     lo_branch = ((-a1) - root).divide(two_a2)
     hi_branch = ((-a1) + root).divide(two_a2)
     if lo_branch is None or hi_branch is None:
         return None
-    return lo_branch.hull(hi_branch)
+    return lo_branch, hi_branch
+
+
+def _proved_roots(a0: FI, a1: FI, a2: Optional[FI]) -> list[FI]:
+    """Enclosures of real roots of a2 x^2 + a1 x + a0, ascending, each
+    holding one root for every choice of the coefficients in their
+    enclosures (an interval existence proof: Kearfott, *Rigorous Global
+    Search*, 1996). Linear (a2 None or exactly 0): a1 excludes 0 and the
+    root is -a0/a1. Quadratic: a2 excludes 0 and the discriminant's lower
+    end is >= 0, so each branch of the formula is a real root. Empty where
+    the form proves nothing."""
+    if a2 is None or a2.lo == 0.0 == a2.hi:
+        root = (-a0).divide(a1)
+        return [] if root is None else [root]
+    disc = a1 * a1 - (a2 * a0).scale(4.0)
+    if disc.lo < 0.0:
+        return []
+    branches = _branches(a1, a2, disc)
+    return [] if branches is None else sorted(branches, key=lambda r: r.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -683,147 +719,75 @@ def _window_point(iv: FI, bias: int) -> float:
     return min(max(iv.lo + (iv.hi - iv.lo) * ((a + b) / 16), iv.lo), iv.hi)
 
 
-def _simple_point_in(rng: Interval, bias: int = 0) -> Fraction:
-    """A small-denominator rational inside the interval, for the dimensions
-    a constrained witness does not solve for (keeps `solve_for` cheap: the
-    constraints are instantiated at these values before their roots are
-    isolated); bias picks the sampling window, the lower or the upper
-    quarter-width band, to step off a degeneracy."""
-    if rng.width() == 0:
-        return rng.lo
-    w = rng.width()
-    a, b = _WITNESS_WINDOWS[bias % len(_WITNESS_WINDOWS)]
-    return simplest_rational_in(rng.lo + w * a / 8, rng.lo + w * b / 8)
-
-
 def witness_for_box(problem: BoundProblem, box: Box) -> Optional[Witness]:
     """A configuration inside the box, with its ratio enclosed by the
-    chart's generated evaluator (`_evaluate_witness`). Without constraints
-    any point of the box is a configuration: the witness is the point box
-    at the centre of an eighths window of each dimension, in the box's own
-    coordinates (a compactified dimension's point s stands for the exact
-    x = s/(1-s^2), which the evaluator encloses). With constraints each
-    constraint is solved exactly for one dimension, the others take small
-    rationals, and the float box is rounded outward around the solution. A
-    second attempt samples the other window (and flips the claim
-    orientation), in case the first point sits on a degeneracy or outside
-    a thin feasible sliver."""
+    chart's generated evaluator (`_evaluate_witness`) over a float box
+    that holds it. Each dimension sits at the centre of an eighths window,
+    in the box's own coordinates (a compactified dimension's point s stands
+    for the exact x = s/(1-s^2), which the evaluator encloses). Each
+    constraint claims one dimension and is solved for it in floats: the
+    root enclosure of its univariate view, proved to hold one real root
+    (`_proved_roots`), replaces the window point. Without constraints
+    there are no claims and the witness is a point box. A constraint of
+    degree above 2 in each of its dimensions has no view to claim, and its
+    chart has no witness. A second attempt samples the other window (and
+    flips the claim orientation), in case the first point sits on a
+    degeneracy or outside a thin feasible sliver."""
     for bias in range(len(_WITNESS_WINDOWS)):
-        if problem.constraints:
-            w = _solved_witness(problem, box, bias)
-        else:
-            w = _evaluate_witness(problem, [FI.point(_window_point(iv, bias))
-                                            for iv in box.ivs])
+        ivs = _witness_box(problem, box, bias)
+        w = None if ivs is None else _evaluate_witness(problem, ivs)
         if w is not None:
             return w
     return None
 
 
-def _solved_witness(problem: BoundProblem, box: Box, bias: int) -> Optional[Witness]:
-    x_ranges: dict[str, Interval] = {}
-    for i, dim in enumerate(problem.dims):
-        s = box.ivs[i]
-        lo, hi = Fraction(s.lo), Fraction(s.hi)
-        if dim.compactified:
-            x_ranges[dim.var] = Interval(lo / (1 - lo * lo), hi / (1 - hi * hi))
-        else:
-            x_ranges[dim.var] = Interval(lo, hi)
-
-    values: dict[str, ExactVal] = {}
-    # each constraint claims one dimension variable to solve for; odd bias
-    # attempts flip the orientation (thin boxes may only be reachable by
-    # solving for the other coordinate)
-    claims: list[tuple[Polynomial, str]] = []
-    claimed: set[str] = set()
-    for poly in problem.constraints:
-        cands = [v for v in sorted(poly.support())
-                 if v in x_ranges and v not in claimed]
+def _claims(problem: BoundProblem, bias: int) -> Optional[list[tuple]]:
+    """One view per constraint, each for a dimension of its own: the last
+    candidate in the variable order, the first on odd bias attempts (thin
+    boxes may only be reachable by solving for the other coordinate).
+    None when a constraint has no candidate left."""
+    claims = []
+    claimed: set[int] = set()
+    for c in range(len(problem.constraints)):
+        cands = [v for v in problem.witness_views if v[0] == c and v[1] not in claimed]
         if not cands:
             return None
-        target = cands[-1] if bias % 2 == 0 else cands[0]
-        claims.append((poly, target))
-        claimed.add(target)
-    for var, rng in x_ranges.items():
-        if var not in claimed:
-            values[var] = _simple_point_in(rng, bias)
-    # quotients of rational values (a far chart's constant direction `_cs`),
-    # for constraints that mention them
-    for d in problem.defs:
-        if isinstance(d, LinearDef) and \
-                all(isinstance(values.get(v), Fraction) for v in d.deps):
-            num, den = d.num.evaluate(values), d.den.evaluate(values)
-            if num == 0:
-                values[d.var] = Fraction(0)
-            elif den != 0:
-                values[d.var] = num / den
+        view = cands[-1] if bias % 2 == 0 else cands[0]
+        claims.append(view)
+        claimed.add(view[1])
+    return claims
 
-    # solve claims, later declarations first resolved when dependencies known
-    pending = list(claims)
-    guard = 0
-    try:
-        while pending:
-            guard += 1
-            if guard > 3 * len(claims) + 3:
-                return None
-            poly, target = pending.pop(0)
-            rng = x_ranges[target]
-            others = [v for v in poly.support() if v != target]
-            if all(isinstance(values.get(v), Fraction) for v in others):
-                roots = solve_for(poly, target, values)
-                if roots is None:
-                    values[target] = _simple_point_in(rng, bias)
-                    continue
-                inside = [r for r in roots if _meets(r, rng)]
-                if not inside:
-                    return None
-                values[target] = inside[len(inside) // 2]
-                continue
-            if not all(v in values for v in others):
-                pending.append((poly, target))
-                continue
-            # target^2 = Q with algebraic dependencies: the root of the sign
-            # that meets the box, the side the range reaches tried first
-            parts = poly.coefficient_map(target)
-            if not (set(parts) <= {0, 2} and 2 in parts and parts[2].is_constant()):
-                return None
-            q = parts.get(0, Polynomial.zero(poly.vars)) * (-1 / parts[2].constant_value())
-            signs = (1, -1) if rng.hi > 0 else (-1, 1)
-            root = next((r for r in (_signed_sqrt(q, values, s) for s in signs)
-                         if _meets(r, rng)), None)
-            if root is None:
-                return None
-            values[target] = root
-        return _evaluate_witness(problem, _enclosing_box(problem, values))
-    except NegativeRadicandError:       # a square-root claim below zero
+
+def _witness_box(problem: BoundProblem, box: Box, bias: int) -> Optional[list[FI]]:
+    """The float box of one witness attempt, or None where a claim has no
+    existence proof or no root meets the box. A claim is solved once each
+    dimension its coefficients depend on is unclaimed (at its window point)
+    or solved (at its root enclosure); its coefficients are enclosed over
+    that environment, the claimed dimension spanning the box's range. Of
+    the roots that meet the box's range of the claimed dimension the middle
+    one is taken, mapped outward to s where the dimension is
+    compactified."""
+    claims = _claims(problem, bias)
+    if claims is None:
         return None
-
-
-def _meets(v: ExactVal, rng: Interval) -> bool:
-    """Whether v, enclosed at 2^-40, meets the range: the root-in-box test."""
-    return exact_interval(v, Fraction(1, 2 ** 40)).intersects(rng)
-
-
-def _signed_sqrt(q: Polynomial, values: dict[str, ExactVal],
-                 sign: int) -> Callable[[Fraction], Interval]:
-    """sign * sqrt(q) as a refinable closure, q's variables at exact values."""
-    def closure(precision: Fraction) -> Interval:
-        env = {v: exact_interval(values[v], precision) for v in q.support()}
-        body = sqrt_interval(eval_poly_interval(q, env), precision)
-        return body if sign > 0 else -body
-    return closure
-
-
-def _enclosing_box(problem: BoundProblem, values: dict[str, ExactVal]) -> list[FI]:
-    """A float box around exact dimension values: each value is enclosed at
-    2^-64 and rounded outward to floats (and mapped to s where the
-    dimension is compactified)."""
-    ivs = []
-    for dim in problem.dims:
-        v = exact_interval(values[dim.var], Fraction(1, 2 ** 64))
-        lo, hi = FI.from_fraction(v.lo).lo, FI.from_fraction(v.hi).hi
-        if dim.compactified:
-            lo, hi = _unmap_real_line(lo, hi)
-        ivs.append(FI(lo, hi))
+    pending = {i for _, i, _, _ in claims}
+    ivs = [iv if i in pending else FI.point(_window_point(iv, bias))
+           for i, iv in enumerate(box.ivs)]
+    while pending:
+        ready = [v for v in claims if v[1] in pending and not v[2] & pending]
+        if not ready:
+            return None
+        for _, i, _, narrow in ready:
+            env = problem.contract_env(ivs)
+            if env is None:
+                return None
+            lo, hi = env[2 * i], env[2 * i + 1]     # the box's x-range
+            inside = [r for r in _proved_roots(*narrow(env)) if r.lo <= hi and lo <= r.hi]
+            if not inside:
+                return None
+            x = inside[len(inside) // 2]
+            ivs[i] = FI(*_unmap_real_line(x.lo, x.hi)) if problem.dims[i].compactified else x
+            pending.discard(i)
     return ivs
 
 
@@ -1217,10 +1181,10 @@ def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
     if rho_hi <= 0.0:
         return None
     last = None
-    rho = Fraction(1, max(2, int(1.0 / max(rho_hi / 4, 1e-300))))
+    rho = 1.0 / max(2, int(1.0 / max(rho_hi / 4, 1e-300)))
     for _ in range(12):
         ivs = list(box.ivs)
-        ivs[0] = FI(float(rho), float(rho))
+        ivs[0] = FI.point(rho)
         w = witness_for_box(problem, Box(ivs))
         if w is None:
             return None

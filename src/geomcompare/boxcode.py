@@ -55,7 +55,8 @@ A generated namespace holds `evaluate(ivs, prune_key)` (the whole
 quotient, centre value, gradient table and the centered-form iterations),
 and for hull consistency `contract_env(ivs)`,
 `signs_hold(env)` and `NARROWERS`, one coefficient function per
-univariate view of a constraint.
+univariate view of a constraint, listed with the indices of its constraint
+and dimension.
 """
 
 from __future__ import annotations
@@ -641,18 +642,19 @@ class _Generator:
         self.squares: dict = {}
         self.partials: dict = {}
 
-    def narrow_views(self) -> list[tuple[int, dict[int, Polynomial]]]:
-        """Each constraint as univariate, degree <= 2, in each dimension."""
+    def narrow_views(self) -> list[tuple[int, int, dict[int, Polynomial]]]:
+        """Each constraint as univariate, degree <= 2, in each dimension:
+        (constraint index, dimension index, coefficients)."""
         dim_ix = {d.var: i for i, d in enumerate(self.problem.dims)}
         out = []
-        for p in self.problem.constraints:
+        for c, p in enumerate(self.problem.constraints):
             for var in sorted(p.support()):
                 if var not in dim_ix:
                     continue
                 parts = p.coefficient_map(var)
                 if max(parts) > 2 or any(var in cp.support() for cp in parts.values()):
                     continue
-                out.append((dim_ix[var], parts))
+                out.append((c, dim_ix[var], parts))
         return out
 
     def partials_of(self, p: Polynomial) -> dict[str, Polynomial]:
@@ -1095,9 +1097,9 @@ class _Generator:
         if self.problem.constraints or self.problem.signconds:
             views = self.narrow_views()
             parts += [*self.contract_env(), *self.signs_hold()]
-            parts += [p for k, (_, view) in enumerate(views) for p in self.narrower(k, view)]
+            parts += [p for k, (_, _, view) in enumerate(views) for p in self.narrower(k, view)]
             parts.append("NARROWERS = [" + ", ".join(
-                f"({i}, narrow{k})" for k, (i, _) in enumerate(views)) + "]\n")
+                f"({c}, {i}, narrow{k})" for k, (c, i, _) in enumerate(views)) + "]\n")
         return parts
 
 

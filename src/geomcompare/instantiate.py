@@ -1,4 +1,5 @@
-"""Exact configurations, shared by the sampler and the bounds witnesses.
+"""Exact configurations of the sampler (the constant-ratio pre-sample and
+the crosscheck of the elimination path).
 
 An exact value (`ExactVal`) is a rational, a real algebraic number or a
 closure that refines an interval on demand; `exact_interval` encloses one

@@ -34,13 +34,15 @@ from .polynomials import BuchbergerLimits, ResourceLimitError
 from .presolve import PresolveReport, presolve
 
 
+CROSSCHECK_TRIALS = 8                         # configurations the crosscheck samples
+RNG_SEED = 20210903                           # seeds the pre-sample and the crosscheck
+
+
 @dataclass
 class CompareConfig:
     timeout: float = 5.0                      # seconds, the default time limit
     tol: Fraction = Fraction(1, 10 ** 6)
     mode: str = "auto"                        # auto | eq | bounds
-    crosscheck_trials: int = 8
-    rng_seed: int = 20210903
 
 
 @dataclass
@@ -64,7 +66,7 @@ def compare(prog: ConstructionProgram, config: Optional[CompareConfig] = None,
     config = config or CompareConfig()
     deadline = time.monotonic() + config.timeout
     timings: dict[str, float] = {}
-    rng = random.Random(config.rng_seed)
+    rng = random.Random(RNG_SEED)
 
     if prog.statement is None:
         return CompareResult("inconclusive", reason="no statement",
@@ -117,15 +119,14 @@ def compare(prog: ConstructionProgram, config: Optional[CompareConfig] = None,
     if exact_result is not None:
         t0 = time.monotonic()
         try:
-            numeric_crosscheck(exact_result, t, config.crosscheck_trials, rng)
+            numeric_crosscheck(exact_result, t, CROSSCHECK_TRIALS, rng)
         except NoCandidateWitnessedError:
             result.reason = "no-candidate-witnessed"
             return result
         timings["crosscheck"] = 1000 * (time.monotonic() - t0)
         result.variant = "exact"
         result.exact = exact_result
-        if config.mode == "auto" and t.signconds and len(
-                [c for c in exact_result.candidates]) > 1:
+        if config.mode == "auto" and t.signconds and len(exact_result.candidates) > 1:
             # sign conditions can single out one variant: confirm via bounds
             t0 = time.monotonic()
             bres = _run_bounds(t, config, deadline)

@@ -12,6 +12,7 @@ from geomcompare.bounds import (
     NEAR_RADIUS,
     Box,
     CompileError,
+    LinearDef,
     SqrtDef,
     branch_and_bound,
     compile_charts,
@@ -29,8 +30,9 @@ from geomcompare.boxcode import BoxEval
 from geomcompare.construction import parse_construction, translate
 from geomcompare.exact_ratio import ratio_sample
 from geomcompare.float_intervals import FI
-from geomcompare.instantiate import exact_interval
+from geomcompare.instantiate import exact_interval, solve_for
 from geomcompare.intervals import Interval, eval_poly_interval, sqrt_interval
+from geomcompare.polynomials import Polynomial
 from geomcompare.pipeline import CompareConfig, compare_source
 from geomcompare.presolve import presolve
 
@@ -179,7 +181,7 @@ def test_deterministic_single_worker():
     ("triangle_inequality", 122),
     ("euler_inequality_isosceles", 224),
     ("pentagon_diagonal_convex", 192),
-    ("right_triangle_perimeter_vs_circumradius", 326),
+    ("right_triangle_perimeter_vs_circumradius", 341),
     ("sum_square_vs_products", 3474),
 ])
 def test_search_box_counts(name, boxes):
@@ -410,41 +412,82 @@ def _reference_witness(problem, dim_values, precision=Fraction(1, 2 ** 128)):
     return eval_poly_interval(problem.obj_num, env) / den, margin
 
 
-def _point_values(problem, ivs):
-    """The exact configuration of a point box: s itself, or x = s/(1-s^2)
-    where the dimension is compactified."""
-    values = {}
-    for dim, iv in zip(problem.dims, ivs):
-        assert iv.lo == iv.hi, (problem.chart, ivs)
-        s = Fraction(iv.lo)
-        values[dim.var] = s / (1 - s * s) if dim.compactified else s
-    return values
+def _x_range(dim, iv):
+    """The exact x-range of a float interval of a dimension: s itself, or
+    x = s/(1-s^2) where the dimension is compactified."""
+    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
+    if dim.compactified:
+        return Interval(lo / (1 - lo * lo), hi / (1 - hi * hi))
+    return Interval(lo, hi)
+
+
+def _signed_sqrt(q, values, sign):
+    """sign * sqrt(q) as a refinable closure, q's variables at exact values."""
+    def closure(precision):
+        env = {v: exact_interval(values[v], precision) for v in q.support()}
+        body = sqrt_interval(eval_poly_interval(q, env), precision)
+        return body if sign > 0 else -body
+    return closure
+
+
+def _roots_of(poly, target, values):
+    """The real roots in target of poly, its other variables at exact
+    values: `solve_for` where they are all rational, else the two signed
+    roots of target^2 = Q."""
+    others = poly.support() - {target}
+    if all(isinstance(values[v], Fraction) for v in others):
+        return solve_for(poly, target, values)
+    parts = poly.coefficient_map(target)
+    assert set(parts) <= {0, 2} and parts[2].is_constant(), (poly, target)
+    q = parts.get(0, Polynomial.zero(poly.vars)) * (-1 / parts[2].constant_value())
+    return [_signed_sqrt(q, values, sign) for sign in (-1, 1)]
+
+
+def _exact_configuration(problem, ivs):
+    """The exact configuration inside a witness's float box, found without
+    the witness code: a point dimension at its own value, every other one
+    at the root, inside its range, of a constraint in which it is the only
+    unknown variable. Quotient definitions of known rationals (a far
+    chart's direction) are evaluated on the way."""
+    ranges = {d.var: _x_range(d, iv) for d, iv in zip(problem.dims, ivs)}
+    values = {v: r.lo for v, r in ranges.items() if r.lo == r.hi}
+    while len(values) < len(problem.dims) + len(problem.defs):
+        for d in problem.defs:
+            if d.var not in values and isinstance(d, LinearDef) and \
+                    all(isinstance(values.get(v), Fraction) for v in d.deps):
+                values[d.var] = d.num.evaluate(values) / d.den.evaluate(values)
+        unknown = [(p, [v for v in p.support() if v not in values])
+                   for p in problem.constraints]
+        solvable = [(p, free[0]) for p, free in unknown
+                    if len(free) == 1 and free[0] in ranges]
+        if not solvable:
+            break
+        poly, target = solvable[0]
+        coarse = Fraction(1, 2 ** 40)
+        inside = [r for r in _roots_of(poly, target, values)
+                  if exact_interval(r, coarse).intersects(ranges[target])]
+        assert len(inside) == 1, (problem.chart, poly, target, ranges[target])
+        values[target] = inside[0]
+    assert all(d.var in values for d in problem.dims), (problem.chart, ranges, values)
+    return {d.var: values[d.var] for d in problem.dims}, ranges
 
 
 def test_witness_ratios_contain_the_rational_reference(monkeypatch):
-    """Each witness's ratio, enclosed by the generated evaluator over a
-    float box, contains the rational enclosure of the ratio at the same
-    exact point, and its margin classifies attainment (margin >=
-    max(10*tol, 1e-3)) as the exact margin does. The exact point is the
-    solved one on charts with constraints and the point box's own on the
-    others."""
+    """Each witness's float box holds an exact configuration (point
+    dimensions at their values, each other one at its constraint's root,
+    found here with `solve_for`), and its ratio, enclosed by the generated
+    evaluator, contains the rational enclosure of the ratio there. Its
+    margin classifies attainment (margin >= max(10*tol, 1e-3)) as the
+    exact margin does."""
     found = []
-    solved = {}             # id of a solved float box -> (box, exact values)
-    evaluate, enclose = bounds._evaluate_witness, bounds._enclosing_box
-
-    def enclosing(problem, values):
-        ivs = enclose(problem, values)
-        solved[id(ivs)] = (ivs, dict(values))
-        return ivs
+    evaluate = bounds._evaluate_witness
 
     def recording(problem, ivs):
         w = evaluate(problem, ivs)
         if w is not None:
-            values = solved[id(ivs)][1] if id(ivs) in solved else _point_values(problem, ivs)
-            found.append((problem, values, w))
+            found.append((problem, list(ivs), w))
         return w
 
-    monkeypatch.setattr(bounds, "_enclosing_box", enclosing)
     monkeypatch.setattr(bounds, "_evaluate_witness", recording)
     for _, problem, box in _seeded_witness_boxes(random.Random(5)):
         witness_for_box(problem, box)
@@ -455,29 +498,66 @@ def test_witness_ratios_contain_the_rational_reference(monkeypatch):
     assert any(p.constraints for p, _, _ in found)
     assert any(not p.constraints for p, _, _ in found)
     threshold = max(10 * 1e-6, 1e-3)
-    for problem, values, w in found:
+    fine = Fraction(1, 2 ** 128)
+    for problem, ivs, w in found:
+        values, ranges = _exact_configuration(problem, ivs)
+        for var, v in values.items():
+            iv = exact_interval(v, fine)
+            assert ranges[var].lo <= iv.lo and iv.hi <= ranges[var].hi, (problem.chart, var)
         ref = _reference_witness(problem, values)
-        assert ref is not None, (problem.chart, values)
+        assert ref is not None, (problem.chart, ivs)
         ratio, margin = ref
-        assert w.ratio.lo <= ratio.lo and ratio.hi <= w.ratio.hi, (values, w.ratio, ratio)
-        assert (w.margin >= threshold) == (margin >= threshold), (values, w.margin, margin)
+        assert w.ratio.lo <= ratio.lo and ratio.hi <= w.ratio.hi, (ivs, w.ratio, ratio)
+        assert (w.margin >= threshold) == (margin >= threshold), (ivs, w.margin, margin)
 
 
-def test_unconstrained_witnesses_use_no_rational_arithmetic(monkeypatch):
-    """On a chart without constraints a witness is a float point box: no
-    rational point, exact enclosure, rational polynomial evaluation or
-    claim solving."""
+def test_witnesses_use_no_rational_arithmetic(monkeypatch):
+    """A witness is built in floats on every chart: no `Fraction` is made,
+    so no rational point, exact enclosure, rational polynomial evaluation
+    or exact claim solving."""
     def refuse(*args, **kwargs):
-        raise AssertionError("rational arithmetic in an unconstrained witness")
+        raise AssertionError("rational arithmetic in a witness")
 
-    boxes = [(problem, box) for _, problem, box in _seeded_witness_boxes(random.Random(7))
-             if not problem.constraints]
-    assert len({id(problem) for problem, _ in boxes}) >= 10
-    for name in ("simplest_rational_in", "exact_interval", "eval_poly_interval",
-                 "solve_for", "Fraction"):
-        monkeypatch.setattr(bounds, name, refuse)
-    found = sum(witness_for_box(problem, box) is not None for problem, box in boxes)
-    assert found >= 100
+    boxes = [(problem, box) for _, problem, box in _seeded_witness_boxes(random.Random(7))]
+    assert len({id(problem) for problem, _ in boxes}) >= 20
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    found = [problem for problem, box in boxes if witness_for_box(problem, box) is not None]
+    monkeypatch.undo()
+    assert len(found) >= 200
+    assert any(problem.constraints for problem in found)
+
+
+def test_a_view_reaching_its_dimension_through_a_definition_is_never_claimed(monkeypatch):
+    """v*L - w = 0 with L = sqrt(v^2+1) is linear in v with coefficient L,
+    which depends on v through the definition chain: a root enclosure
+    computed from L over the box proves no root, so only w is ever claimed
+    and v stays at its window point. Hull consistency still narrows v with
+    that view."""
+    vs = ("v", "w", "L")
+    v, w, L = (Polynomial.variable(x, vs) for x in vs)
+    one = Polynomial.constant(1, vs)
+    problem = bounds.BoundProblem(
+        dims=[bounds.Dim("v", False, 0.0, 2.0), bounds.Dim("w", False, 0.0, 4.0)],
+        defs=[SqrtDef("L", v * v + one)], constraints=[v * L - w], signconds=[],
+        margins=[], obj_num=v, obj_den=one)
+    assert [(c, i) for c, i, _ in problem.narrowers] == [(0, 0), (0, 1)]
+    assert [(c, i, needs) for c, i, needs, _ in problem.witness_views] == [(0, 1, {0})]
+    attempts = []
+    evaluate = bounds._evaluate_witness
+
+    def recording(problem, ivs):
+        attempts.append(list(ivs))
+        return evaluate(problem, ivs)
+
+    monkeypatch.setattr(bounds, "_evaluate_witness", recording)
+    rng = random.Random(11)
+    found = 0
+    for _ in range(40):
+        lo_v, lo_w = rng.uniform(0.0, 1.5), rng.uniform(0.0, 3.0)
+        box = Box([FI(lo_v, lo_v + 0.5), FI(lo_w, lo_w + 1.0)])
+        found += witness_for_box(problem, box) is not None
+    assert found >= 5
+    assert attempts and all(ivs[0].lo == ivs[0].hi for ivs in attempts)
 
 
 def test_point_box_on_a_degenerate_line_is_refused():

@@ -16,7 +16,7 @@ from geomcompare.exact_ratio import (
     solve_mu,
 )
 from geomcompare.instantiate import DegenerateInstance, sample_configuration
-from geomcompare.pipeline import compare_source
+from geomcompare.pipeline import CROSSCHECK_TRIALS, RNG_SEED, compare_source
 from geomcompare.presolve import presolve
 from geomcompare.polynomials import parse_polynomial, poly_from_univariate, render
 
@@ -199,7 +199,7 @@ EXACT_SUITE_CASES = ("pythagoras_right", "pentagon_diagonal", "pentagon_diagonal
 def _pipeline_rng(t):
     """The random state `compare` hands to the crosscheck in auto mode: the
     default seed, after the constant-ratio pre-sample."""
-    rng = random.Random(CompareConfig().rng_seed)
+    rng = random.Random(RNG_SEED)
     assert constant_ratio_evidence(t, rng) is None
     return rng
 
@@ -239,7 +239,7 @@ def test_crosscheck_stops_once_every_candidate_is_witnessed(monkeypatch):
 def test_crosscheck_flags_equal_those_of_every_trial(name):
     t = _prepared(name)
     result = solve_mu(eliminate_to_mu(t))
-    trials = CompareConfig().crosscheck_trials
+    trials = CROSSCHECK_TRIALS
     want = _flags_of_every_trial(result, t, trials, _pipeline_rng(t))
     assert numeric_crosscheck(result, t, trials, _pipeline_rng(t)) == want
     assert any(want)
