@@ -1,8 +1,9 @@
 """Certified sharp-constant search: interval branch-and-bound over the
 configuration space of a presolved construction system.
 
-The box lives over the independent coordinates (compactified onto (-1,1)
-when unbounded) and the rotation-cosine pairs of regular chains. Length
+The box lives over the independent coordinates, each in [-R0, R0] on the
+near chart (`NEAR_RADIUS`; the far charts cover the plane beyond), and the
+rotation-cosine pairs of regular chains. Length
 variables are evaluated through their square-root definitions, solvable
 centers (circumcenter, intersections, weighted centers) through division
 definitions. Remaining equations act as constraints: they prune boxes by
@@ -35,19 +36,21 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radical
 from .construction import Translation
 from .boxcode import BoxEval, compile_evaluator, evaluator_source
-from .float_intervals import FI, INF
+from .float_intervals import FI, INF, up
 from .intervals import Interval
 from .polynomials import Polynomial, poly_from_univariate
 
 UNBOUNDED_AT = 1e9         # incumbent beyond this is unbounded evidence
 MIN_DIM_WIDTH = 1e-13
-NEAR_RADIUS = 8.0          # the near chart covers |x| <= R0 per coordinate;
+NEAR_RADIUS = 3.0          # the near chart covers |x| <= R0 per coordinate;
                            # the far chart covers |point| >= R0 projectively
+CONTRACT_ROUNDS = 6        # hull-consistency sweeps per box, at most
+DESCENT_ROUNDS = 60        # coordinate-descent sweeps of a seed witness
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ Def = Union[SqrtDef, LinearDef]
 @dataclass(frozen=True)
 class Dim:
     var: str
-    compactified: bool   # x = s/(1-s^2) over s in (-1,1); else x = s directly
+    unbounded: bool      # continues past +-R0 on the far chart
     lo: float
     hi: float
 
@@ -297,7 +300,6 @@ def compile_problem(t: Translation,
     rot_names = {v for pair in t.rot_vars for v in pair[:2]}
     dim_vars = sorted((used - defined) - set(constants),
                       key=lambda v: t.universe.index(v) if v in t.universe else 10 ** 6)
-    s0 = _unmap_point(NEAR_RADIUS)
     dims = []
     for v in dim_vars:
         if v in rot_names:
@@ -306,9 +308,9 @@ def compile_problem(t: Translation,
                                    for p in value_polys):
             # the whole value chain is mirror-symmetric in v: search the
             # nonnegative half only
-            dims.append(Dim(v, True, 0.0, s0))
+            dims.append(Dim(v, True, 0.0, NEAR_RADIUS))
         else:
-            dims.append(Dim(v, True, -s0, s0))
+            dims.append(Dim(v, True, -NEAR_RADIUS, NEAR_RADIUS))
 
     ordered = _toposort(defs)
     return BoundProblem(dims=dims, defs=ordered, constraints=constraints,
@@ -328,7 +330,7 @@ def compile_charts(t: Translation,
     chart alone covers only |x| <= R0, so its bounds would not be bounds
     over the whole plane."""
     near = compile_problem(t, objective)
-    unbounded = [d.var for d in near.dims if d.compactified]
+    unbounded = [d.var for d in near.dims if d.unbounded]
     if len(unbounded) > 2:
         raise CompileError(f"{len(unbounded)} unbounded coordinates "
                            f"({', '.join(unbounded)}); at most two are supported")
@@ -406,7 +408,8 @@ def _far_chart(near: BoundProblem, pair: list[str],
         num = num * Polynomial.variable("_rho", num.vars) ** (wd - wn)
 
     halved = {d.var: d.lo == 0.0 for d in near.dims}
-    dims = [Dim("_rho", False, 0.0, 1.0 / NEAR_RADIUS)]
+    # rounded up: the far chart reaches |point| = R0 with no sliver left out
+    dims = [Dim("_rho", False, 0.0, up(1.0 / NEAR_RADIUS))]
     if len(pair) == 2:
         # rational point on the unit circle: cs = ±(1-u^2)/(1+u^2),
         # sn = ±2u/(1+u^2); the two signs are separate charts covering
@@ -525,25 +528,10 @@ class Box:
     ivs: list[FI]                       # per-dim parameter intervals
 
 
-def _split_metric(problem: BoundProblem, box: Box, i: int) -> float:
-    """Width measure driving the split choice: parameter width for bounded
-    dimensions, image width relative to the distance from zero for
-    compactified ones (far-field boxes must shrink multiplicatively)."""
-    iv = box.ivs[i]
-    if not problem.dims[i].compactified:
-        return iv.width()
-    x = _map_real_line(iv)
-    if x.hi == INF or x.lo == -INF:
-        return INF
-    magmin = 0.0 if x.lo <= 0.0 <= x.hi else min(abs(x.lo), abs(x.hi))
-    return x.width() / (1.0 + magmin)
-
-
 def split_box(problem: BoundProblem, box: Box,
               ev: Optional[BoxEval] = None) -> tuple[Box, Box]:
     """Bisect the dimension with the largest smear (|gradient| * width) when
-    gradients are available, else the largest geometric metric, at the
-    midpoint of its parameter interval."""
+    gradients are available, else the widest dimension, at its midpoint."""
     i = None
     if ev is not None and ev.grads is not None:
         smears = []
@@ -560,42 +548,13 @@ def split_box(problem: BoundProblem, box: Box,
         if smears and max(smears) > 0.0:
             i = max(range(len(smears)), key=lambda k: smears[k])
     if i is None:
-        i = max(range(len(box.ivs)), key=lambda k: _split_metric(problem, box, k))
+        i = max(range(len(box.ivs)), key=lambda k: box.ivs[k].width())
     iv = box.ivs[i]
     m = iv.mid()
     left, right = list(box.ivs), list(box.ivs)
     left[i] = FI(iv.lo, m)
     right[i] = FI(m, iv.hi)
     return Box(left), Box(right)
-
-
-def _unmap_point(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
-
-
-def _map_real_line(s: FI) -> FI:
-    # x = s / (1 - s^2), increasing on (-1, 1)
-    den = FI(1.0, 1.0) - s * s
-    out = s.divide(den)
-    return out if out is not None else FI(-INF, INF)
-
-
-def _unmap_real_line(x_lo: float, x_hi: float) -> tuple[float, float]:
-    # s = x / (1/2 + sqrt(1/4 + x^2)), odd and increasing; outward by ulps.
-    # This form of (sqrt(1 + 4x^2) - 1) / (2x) neither cancels for small |x|
-    # nor overflows for large |x|.
-    def inv(x: float, direction: float) -> float:
-        if x == 0.0:
-            return 0.0
-        s = x / (0.5 + math.hypot(0.5, x))
-        for _ in range(3):
-            s = math.nextafter(s, direction)
-        return max(-1.0, min(1.0, s))
-    lo = -1.0 if x_lo == -INF else inv(x_lo, -INF)
-    hi = 1.0 if x_hi == INF else inv(x_hi, INF)
-    return lo, hi
 
 
 def evaluate_box(problem: BoundProblem, box: Box,
@@ -614,14 +573,14 @@ def evaluate_box(problem: BoundProblem, box: Box,
 _INFEASIBLE = object()
 
 
-def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optional[Box]:
+def hull_contract(problem: BoundProblem, box: Box) -> Optional[Box]:
     """Narrow a box with each constraint treated as univariate (degree <= 2)
     in each dimension, interval coefficients from the rest; returns None when
     some constraint or sign condition excludes the whole box."""
     if not problem.constraints and not problem.signconds:
         return box
     ivs = list(box.ivs)
-    for _ in range(max_rounds):
+    for _ in range(CONTRACT_ROUNDS):
         env = problem.contract_env(ivs)     # flat [lo0, hi0, lo1, ...]
         if env is None:
             return None
@@ -632,22 +591,15 @@ def hull_contract(problem: BoundProblem, box: Box, max_rounds: int = 6) -> Optio
                 return None
             if new_x is None:
                 continue
-            dim = problem.dims[i]
-            if dim.compactified:
-                s_lo, s_hi = _unmap_real_line(new_x.lo, new_x.hi)
-                new_s = FI(s_lo, s_hi)
-            else:
-                new_s = new_x
             cur = ivs[i]
-            inter = cur.intersect(new_s)
+            inter = cur.intersect(new_x)
             if inter is None:
                 return None
             if inter.width() < cur.width():
                 gain = max(gain, (cur.width() - inter.width()) /
                            max(cur.width(), 1e-300))
                 ivs[i] = inter
-                x = _map_real_line(inter) if dim.compactified else inter
-                env[2 * i], env[2 * i + 1] = x.lo, x.hi
+                env[2 * i], env[2 * i + 1] = inter.lo, inter.hi
         if not problem.signs_hold(env):
             return None
         if gain < 0.01:
@@ -722,10 +674,8 @@ def _window_point(iv: FI, bias: int) -> float:
 def witness_for_box(problem: BoundProblem, box: Box) -> Optional[Witness]:
     """A configuration inside the box, with its ratio enclosed by the
     chart's generated evaluator (`_evaluate_witness`) over a float box
-    that holds it. Each dimension sits at the centre of an eighths window,
-    in the box's own coordinates (a compactified dimension's point s stands
-    for the exact x = s/(1-s^2), which the evaluator encloses). Each
-    constraint claims one dimension and is solved for it in floats: the
+    that holds it. Each dimension sits at the centre of an eighths window
+    of its interval. Each constraint claims one dimension and is solved for it in floats: the
     root enclosure of its univariate view, proved to hold one real root
     (`_proved_roots`), replaces the window point. Without constraints
     there are no claims and the witness is a point box. A constraint of
@@ -764,9 +714,7 @@ def _witness_box(problem: BoundProblem, box: Box, bias: int) -> Optional[list[FI
     dimension its coefficients depend on is unclaimed (at its window point)
     or solved (at its root enclosure); its coefficients are enclosed over
     that environment, the claimed dimension spanning the box's range. Of
-    the roots that meet the box's range of the claimed dimension the middle
-    one is taken, mapped outward to s where the dimension is
-    compactified."""
+    the roots that meet that range the middle one is taken, as it is."""
     claims = _claims(problem, bias)
     if claims is None:
         return None
@@ -781,12 +729,11 @@ def _witness_box(problem: BoundProblem, box: Box, bias: int) -> Optional[list[FI
             env = problem.contract_env(ivs)
             if env is None:
                 return None
-            lo, hi = env[2 * i], env[2 * i + 1]     # the box's x-range
+            lo, hi = env[2 * i], env[2 * i + 1]
             inside = [r for r in _proved_roots(*narrow(env)) if r.lo <= hi and lo <= r.hi]
             if not inside:
                 return None
-            x = inside[len(inside) // 2]
-            ivs[i] = FI(*_unmap_real_line(x.lo, x.hi)) if problem.dims[i].compactified else x
+            ivs[i] = inside[len(inside) // 2]
             pending.discard(i)
     return ivs
 
@@ -969,20 +916,22 @@ class _Side:
     boxes: int
 
 
-def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
+def _optimize(charts: list[BoundProblem], roots: list[tuple[int, Box]],
+              seeds: Iterable[Optional[Witness]], minimize: bool, tol: float,
               hard_goal: float, deadline: float) -> _Side:
-    """Best-first search for one side, in minimized coordinates: the
-    supremum search minimizes -m, so heap keys are lower bounds either way.
-    A polished witness per chart root seeds the incumbent; a witness on the
-    first boxes and on every 8th box improves it. Stops: the gap test, a
+    """Best-first search for one side from the contracted chart roots, in
+    minimized coordinates: the supremum search minimizes -m, so heap keys
+    are lower bounds either way. The seeds, a polished witness per root,
+    set the first incumbent; a witness on the first boxes and on every 8th
+    box improves it. Stops: the gap test, a
     small rational pinned inside a gap below `tol`, an incumbent below
     -`UNBOUNDED_AT`, an emptied heap, or the deadline. Boxes narrower than
     `MIN_DIM_WIDTH` are dropped, their keys kept in the floor. A box that is
     weakly monotone in some dimension is replaced by its face
     (`_monotone_reduce`), so a limit along a face is searched on it. With
     the direction-cosine gradients of distances (`boxcode`) the face's boxes
-    close at once: `medians` certifies its inf in 130 boxes,
-    `triangle_inequality` in 122."""
+    close at once: `medians` certifies its inf in 104 boxes,
+    `triangle_inequality` in 109."""
 
     def low_key(ev: BoxEval) -> float:
         if ev.ratio is None:
@@ -1014,16 +963,11 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
         heapq.heappush(heap, (low_key(ev), counter, ci, box, ev))
         counter += 1
 
-    roots: list[tuple[int, Box]] = []
-    for ci, problem in enumerate(charts):
-        root = hull_contract(problem, Box([FI(d.lo, d.hi) for d in problem.dims]))
-        if root is not None:
-            roots.append((ci, root))
-            push(ci, root)
+    for ci, root in roots:
+        push(ci, root)
 
     # seed the incumbent by local descent so pruning works immediately
-    for ci, root in roots:
-        w = _polished_witness(charts[ci], root, minimize)
+    for w in seeds:
         if w is not None and witness_value(w) < incumbent:
             incumbent = witness_value(w)
             best_witness = w
@@ -1078,8 +1022,8 @@ def _optimize(charts: list[BoundProblem], minimize: bool, tol: float,
                  unbounded=unbounded, timed_out=timed_out, boxes=boxes)
 
 
-def _descend(problem: BoundProblem, start: list[float], minimize: bool,
-             rounds: int = 60) -> Optional[list[float]]:
+def _descend(problem: BoundProblem, start: list[float],
+             minimize: bool) -> Optional[list[float]]:
     """Float coordinate descent over the whole chart domain (unconstrained
     problems only) — a cheap pre-search; only a witness at the returned
     point certifies anything."""
@@ -1104,7 +1048,7 @@ def _descend(problem: BoundProblem, start: list[float], minimize: bool,
     if cur is None:
         return None
     steps = [max(1e-3, 0.05 * (d.hi - d.lo)) for d in problem.dims]
-    for _ in range(rounds):
+    for _ in range(DESCENT_ROUNDS):
         improved = False
         for j, dim in enumerate(problem.dims):
             for sign in (1.0, -1.0):
@@ -1174,7 +1118,7 @@ def _monotone_reduce(problem: BoundProblem, box: Box, ev: BoxEval,
 
 
 def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
-    """Witnesses along a compactification ray (shrinking the projective
+    """Witnesses along a ray toward infinity (shrinking the projective
     radius geometrically): monotone growth of the ratio beyond
     `UNBOUNDED_AT` is the evidence that the supremum is unbounded."""
     rho_hi = box.ivs[0].hi              # a far chart's first dimension is _rho
@@ -1198,20 +1142,22 @@ def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
     return None
 
 
-def _quick_unbounded(charts: list[BoundProblem]) -> Optional[_Side]:
-    """Detect an unbounded supremum up front: descent on each chart plus a
-    ray probe on the projective charts."""
-    for problem in charts:
-        root = hull_contract(problem, Box([FI(d.lo, d.hi) for d in problem.dims]))
-        if root is None:
-            continue
+def _quick_unbounded(charts: list[BoundProblem], roots: list[tuple[int, Box]],
+                     ) -> tuple[Optional[_Side], list[Optional[Witness]]]:
+    """Detect an unbounded supremum up front: descent on each chart root
+    plus a ray probe on the projective charts. Returns the unbounded side,
+    else None, with the descent witnesses, which seed the supremum search."""
+    seeds = []
+    for ci, root in roots:
+        problem = charts[ci]
         w = _polished_witness(problem, root, False)
+        seeds.append(w)
         if (w is None or w.ratio.lo <= UNBOUNDED_AT) and problem.chart == "far":
             w = _ray_probe(problem, root)
         if w is not None and w.ratio.lo > UNBOUNDED_AT:
             return _Side(floor=-INF, incumbent=-w.ratio.lo, witness=w,
-                         unbounded=True, timed_out=False, boxes=0)
-    return None
+                         unbounded=True, timed_out=False, boxes=0), seeds
+    return None, seeds
 
 
 def branch_and_bound(charts: Union[BoundProblem, list[BoundProblem]],
@@ -1227,13 +1173,21 @@ def branch_and_bound(charts: Union[BoundProblem, list[BoundProblem]],
     ftol = float(tol)
     hard_goal = min(ftol, 1e-9)
 
-    # cheap pre-pass: a supremum that diverges along a compactification ray
+    roots = []
+    for ci, problem in enumerate(charts):
+        root = hull_contract(problem, Box([FI(d.lo, d.hi) for d in problem.dims]))
+        if root is not None:
+            roots.append((ci, root))
+
+    # cheap pre-pass: a supremum that diverges along a ray toward infinity
     # resolves immediately and frees its reserve for the infimum search
-    hi_side = _quick_unbounded(charts)
+    hi_side, sup_seeds = _quick_unbounded(charts, roots)
     reserve = max(1.5, 0.25 * budget) if hi_side is None else 0.05 * budget
-    lo_side = _optimize(charts, True, ftol, hard_goal, deadline - reserve)
+    inf_seeds = (_polished_witness(charts[ci], root, True) for ci, root in roots)
+    lo_side = _optimize(charts, roots, inf_seeds, True, ftol, hard_goal,
+                        deadline - reserve)
     if hi_side is None:
-        hi_side = _optimize(charts, False, ftol, hard_goal,
+        hi_side = _optimize(charts, roots, sup_seeds, False, ftol, hard_goal,
                             deadline - 0.02 * budget)
 
     inf_res = _assemble_side(lo_side, True, tol)

@@ -35,10 +35,10 @@ operation happens in the same order, with the same rounding:
   are known constants, and then it is folded with `FI` itself (after the
   exact-operation rule); an infinite constant is written by name (`INF`,
   `NINF`);
-* the gradient table works in x, the coordinates of the definition chain:
-  a dimension's row is its unit vector, and dx/ds of a compactified
-  dimension multiplies the ratio's gradient (gnum - r * gden) / den once,
-  in the centered-form loop. A root whose radicand is a sum of completed
+* the gradient table works in the box's coordinates, which are those of
+  the definition chain: a dimension's row is its unit vector, and the
+  ratio's gradient is (gnum - r * gden) / den. A root whose radicand is a
+  sum of completed
   squares sum(a_i L_i^2) plus a constant r >= 0 (every distance) has the
   row sum(sqrt(a_i) u_i dL_i), each direction cosine u_i enclosed by
   `float_intervals.direction_cosine` over sqrt(a_i) L_i and the sum of the
@@ -746,35 +746,6 @@ class _Generator:
             env.slots[k] = V(f"x{k}l", f"x{k}h")
         return env
 
-    def square(self, f: Emitter, s: V) -> tuple[V, V]:
-        """s*s and 1 - s*s, shared by the map to the real line and its
-        derivative."""
-        key = ("1-ss", s.lo, s.hi)
-        hit = f.lookup(key)
-        if hit is None:
-            ss = f.mul(s, s)
-            hit = (ss, f.sub(ONE, ss))
-            f.remember(key, hit)
-        return hit
-
-    def map_real_line(self, f: Emitter, s: V) -> V:
-        # x = s / (1 - s^2); the whole line where the divisor straddles zero
-        _, den = self.square(f, s)
-        out = f.pair()
-        f.branch(_straddles(den), lambda: f.assign(out, WHOLE),
-                 lambda: f.mul(s, f.inverse(den), into=out))
-        return V(*out)
-
-    def map_real_line_grad(self, f: Emitter, s: V) -> V:
-        # dx/ds = (1 + s^2) / (1 - s^2)^2; [0, inf] where undefined
-        ss, one_minus = self.square(f, s)
-        den = f.power(one_minus, 2)
-        num = f.add(ONE, ss)
-        out = f.pair()
-        f.branch(_straddles(den), lambda: f.assign(out, V(0.0, INF)),
-                 lambda: f.mul(num, f.inverse(den), into=out))
-        return V(*out)
-
     def build_env(self, f: Emitter, box: list[V], key: str,
                   on_infeasible: str, on_indeterminate: str) -> _Env:
         """The definition chain over the box, in topological order. A
@@ -782,8 +753,7 @@ class _Generator:
         quotient with a straddling divisor runs `on_indeterminate` and is
         the whole line."""
         env = _Env(key)
-        for i, dim in enumerate(self.problem.dims):
-            env.slots[i] = self.map_real_line(f, box[i]) if dim.compactified else box[i]
+        env.slots.update(enumerate(box))
         for d in self.problem.defs:
             slot = self.index[d.var]
             if hasattr(d, "radicand"):
@@ -848,21 +818,14 @@ class _Generator:
                 out[j] = self.accumulate(f, out[j], f.mul(coeff, rows[slot][j]))
         return out
 
-    def grad_table(self, f: Emitter, env: _Env,
-                   box: list[V]) -> tuple[list[V], list[V], list[V]]:
-        """Gradient rows of every dimension and definition over the box, in
-        x, the coordinates of the definition chain; returns the objective
-        numerator and denominator gradients and, per dimension, dx/ds (`ONE`
-        where x = s). The chain rule applies dx/ds once, to the ratio's
-        gradient: by subdistributivity that is never wider than seeding the
-        rows with it."""
+    def grad_table(self, f: Emitter, env: _Env) -> tuple[list[V], list[V]]:
+        """Gradient rows of every dimension and definition over the box;
+        returns the objective numerator and denominator gradients."""
         rows: dict[int, list[V]] = {}
-        scales = []
-        for i, dim in enumerate(self.problem.dims):
+        for i in range(self.n):
             row = [ZERO] * self.n
             row[i] = ONE
             rows[i] = row
-            scales.append(self.map_real_line_grad(f, box[i]) if dim.compactified else ONE)
         for d in self.problem.defs:
             slot = self.index[d.var]
             names = [f.pair() for _ in range(self.n)]
@@ -873,7 +836,7 @@ class _Generator:
             rows[slot] = [V(*name) for name in names]
         gnum = self.poly_grad(f, env, rows, self.partials_of(self.problem.obj_num))
         gden = self.poly_grad(f, env, rows, self.partials_of(self.problem.obj_den))
-        return gnum, gden, scales
+        return gnum, gden
 
     @staticmethod
     def fill(f: Emitter, names: list, value: V) -> None:
@@ -1021,21 +984,18 @@ class _Generator:
         # centered form, iterated: a tighter ratio enclosure tightens the
         # quotient-rule combination (the gradient table is reused)
         for i in range(self.n):
-            f.emit(f"m{i} = 0.0 if s{i}l == NINF or s{i}h == INF "
-                   f"else 0.5 * (s{i}l + s{i}h)")
+            f.emit(f"m{i} = 0.5 * (s{i}l + s{i}h)")
         f.emit(f"c = centre({', '.join(f'm{i}' for i in range(self.n))})")
         f.emit("if c is None:")
         f.emit("    return BoxEval(status, env, r, None, act)")
         f.emit("crl, crh = c")
-        gnum, gden, scales = self.grad_table(f, env, box)
+        gnum, gden = self.grad_table(f, env)
         grads = [(f"g{j}l", f"g{j}h") for j in range(self.n)]
         listed = "[" + ", ".join(f"FI({g[0]}, {g[1]})" for g in grads) + "]"
         with f.block("for _ in (0, 1):"):
-            # den does not straddle zero here: the natural quotient exists;
-            # the gradient in x times dx/ds is the gradient in s
+            # den does not straddle zero here: the natural quotient exists
             for j in range(self.n):
-                in_x = f.mul(f.sub(gnum[j], f.mul(ratio, gden[j])), inv)
-                f.mul(in_x, scales[j], into=grads[j])
+                f.mul(f.sub(gnum[j], f.mul(ratio, gden[j])), inv, into=grads[j])
             total = V("crl", "crh")
             for j in range(self.n):
                 half = f.sub(box[j], V(f"m{j}", f"m{j}"))

@@ -29,6 +29,9 @@ from .intervals import Interval
 from .polynomials import BuchbergerLimits, Polynomial, eliminate, poly_from_univariate
 
 
+EVIDENCE_SAMPLES = 3        # configurations sampled for a nonconstant ratio
+
+
 class NoPositiveRootError(ValueError):
     """The eliminated polynomial admits no positive ratio value."""
 
@@ -111,7 +114,7 @@ def ratio_sample(t: Translation, rng: random.Random,
 
 
 def constant_ratio_evidence(t: Translation, rng: random.Random,
-                            samples: int = 3) -> Optional[tuple[Interval, Interval]]:
+                            ) -> Optional[tuple[Interval, Interval]]:
     """Two instantiations with a fixed branch choice whose ratios differ by
     more than 1e-6, or None when every sampled pair agrees (suggesting a
     constant ratio per branch). Used to justify skipping elimination. The
@@ -121,7 +124,7 @@ def constant_ratio_evidence(t: Translation, rng: random.Random,
         return None
     branches: Optional[Branches] = None
     ratios: list[Interval] = []
-    for _ in range(samples):
+    for _ in range(EVIDENCE_SAMPLES):
         try:
             ratio, branches = ratio_sample(t, rng, branches=branches)
         except DegenerateInstance:

@@ -23,8 +23,6 @@ from geomcompare.bounds import (
     split_box,
     witness_for_box,
     _monotone_reduce,
-    _unmap_point,
-    _unmap_real_line,
 )
 from geomcompare.boxcode import BoxEval
 from geomcompare.construction import parse_construction, translate
@@ -95,45 +93,33 @@ def test_contract_unconstrained_box_unchanged():
 def test_contract_keeps_feasible_point():
     # right-triangle constraint: a box around C=(1/2, 1/2) on the circle
     near = _charts("right_triangle_perimeter_vs_circumradius")[0]
-    s5, s6 = _unmap_point(0.5), _unmap_point(0.5)
-    box = Box([FI(s5 - 0.05, s5 + 0.05), FI(s6 - 0.05, s6 + 0.05)])
+    box = Box([FI(0.45, 0.55), FI(0.45, 0.55)])
     out = hull_contract(near, box)
     assert out is not None
-    assert out.ivs[0].contains(s5) and out.ivs[1].contains(s6)
+    assert out.ivs[0].contains(0.5) and out.ivs[1].contains(0.5)
 
 
 def test_contract_infeasible_box():
     near = _charts("right_triangle_perimeter_vs_circumradius")[0]
-    s5, s6 = _unmap_point(5.0), _unmap_point(5.0)  # far off the circle
-    box = Box([FI(s5 - 0.001, s5 + 0.001), FI(s6 - 0.001, s6 + 0.001)])
+    box = Box([FI(2.499, 2.501), FI(2.499, 2.501)])  # far off the circle
     out = hull_contract(near, box)
     if out is not None:  # contraction may defer to evaluation
         assert evaluate_box(near, out).status == "infeasible"
 
 
-def _real_line_value(s: float) -> Fraction:
-    return Fraction(s) / (1 - Fraction(s) ** 2)
-
-
-def test_unmap_real_line_encloses_x():
-    """The s-interval returned for [x, x] maps back, exactly, onto an
-    interval that holds x: over seeded x of every magnitude, both signs and
-    the extremes of the float range."""
-    rng = random.Random(11)
-    xs = [5e-324, 1e-3, 5e-9, 1e-300, 1.0, 8.0, 1e154, 1.7976931348623157e308]
-    xs += [rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-323, 307) for _ in range(3000)]
-    for x in xs + [-x for x in xs]:
-        lo, hi = _unmap_real_line(x, x)
-        assert lo == -1.0 or _real_line_value(lo) <= Fraction(x), (x, lo)
-        assert hi == 1.0 or _real_line_value(hi) >= Fraction(x), (x, hi)
-
-
 def test_near_chart_reaches_the_far_chart():
-    """The near chart's compactified coordinates run up to s0; the point
-    they map to must reach NEAR_RADIUS, where the far chart begins, or the
-    two charts leave a gap between them."""
-    s0 = _unmap_point(NEAR_RADIUS)
-    assert _real_line_value(s0) >= NEAR_RADIUS
+    """The near chart's unbounded coordinates end at +-NEAR_RADIUS, and the
+    far charts' projective radius reaches 1/NEAR_RADIUS (exactly or beyond),
+    so every point with |point| >= NEAR_RADIUS lies on a far chart and the
+    two leave no gap between them."""
+    near, *far = _charts("sum_square_vs_products")
+    unbounded = [d for d in near.dims if d.unbounded]
+    assert unbounded and far
+    for d in unbounded:
+        assert d.hi == NEAR_RADIUS and d.lo in (0.0, -NEAR_RADIUS)
+    for chart in far:
+        rho = next(d for d in chart.dims if d.var == "_rho")
+        assert rho.lo == 0.0 and Fraction(rho.hi) * Fraction(NEAR_RADIUS) >= 1
 
 
 # -- enclosure soundness -------------------------------------------------------
@@ -176,13 +162,13 @@ def test_deterministic_single_worker():
 
 
 @pytest.mark.parametrize("name, boxes", [
-    ("pythagoras_relaxed", 30),
-    ("medians", 130),
-    ("triangle_inequality", 122),
-    ("euler_inequality_isosceles", 224),
+    ("pythagoras_relaxed", 28),
+    ("medians", 104),
+    ("triangle_inequality", 109),
+    ("euler_inequality_isosceles", 230),
     ("pentagon_diagonal_convex", 192),
-    ("right_triangle_perimeter_vs_circumradius", 341),
-    ("sum_square_vs_products", 3474),
+    ("right_triangle_perimeter_vs_circumradius", 287),
+    ("sum_square_vs_products", 2889),
 ])
 def test_search_box_counts(name, boxes):
     """Boxes to certify do not depend on the machine: a change to the
@@ -190,6 +176,35 @@ def test_search_box_counts(name, boxes):
     res = branch_and_bound(_charts(name), deadline=time.monotonic() + 30)
     assert not res.timed_out
     assert res.boxes == boxes
+
+
+def test_each_root_is_contracted_once_and_descended_once_per_side(monkeypatch):
+    """A search contracts each chart's root box once, and descends from each
+    contracted root once for the inf and once for the sup: the sup search
+    starts from the witnesses of the unbounded-sup pre-pass."""
+    charts = _charts("sum_square_vs_products")
+    domains = [[(d.lo, d.hi) for d in c.dims] for c in charts]
+    contract, polish = bounds.hull_contract, bounds._polished_witness
+    live = [c for c, dom in zip(charts, domains)
+            if contract(c, Box([FI(*iv) for iv in dom])) is not None]
+    assert len(live) == 3
+    contracted, descended = [], []
+
+    def counting_contract(problem, box):
+        if [(iv.lo, iv.hi) for iv in box.ivs] in domains:
+            contracted.append(id(problem))
+        return contract(problem, box)
+
+    def counting_polish(problem, box, minimize):
+        descended.append((id(problem), minimize))
+        return polish(problem, box, minimize)
+
+    monkeypatch.setattr(bounds, "hull_contract", counting_contract)
+    monkeypatch.setattr(bounds, "_polished_witness", counting_polish)
+    res = branch_and_bound(charts, deadline=time.monotonic() + 30)
+    assert not res.timed_out and res.sup.enclosure is not None
+    assert sorted(contracted) == sorted(id(c) for c in charts)
+    assert sorted(descended) == sorted((id(c), m) for c in live for m in (False, True))
 
 
 # -- monotone reduction ------------------------------------------------------
@@ -301,7 +316,7 @@ def test_large_inf_is_not_unbounded_evidence():
 
 
 def test_more_than_two_unbounded_coordinates_refused():
-    """With C and D both free the near chart covers only |x| <= 8, so the
+    """With C and D both free the near chart covers only |x| <= 3, so the
     search would leave part of the plane out: compilation refuses."""
     src = ("point A\npoint B\npoint C\npoint D\nsegment e C D\n"
            "segment f A B\ncompare e+f vs e")
@@ -412,15 +427,6 @@ def _reference_witness(problem, dim_values, precision=Fraction(1, 2 ** 128)):
     return eval_poly_interval(problem.obj_num, env) / den, margin
 
 
-def _x_range(dim, iv):
-    """The exact x-range of a float interval of a dimension: s itself, or
-    x = s/(1-s^2) where the dimension is compactified."""
-    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
-    if dim.compactified:
-        return Interval(lo / (1 - lo * lo), hi / (1 - hi * hi))
-    return Interval(lo, hi)
-
-
 def _signed_sqrt(q, values, sign):
     """sign * sqrt(q) as a refinable closure, q's variables at exact values."""
     def closure(precision):
@@ -449,7 +455,8 @@ def _exact_configuration(problem, ivs):
     at the root, inside its range, of a constraint in which it is the only
     unknown variable. Quotient definitions of known rationals (a far
     chart's direction) are evaluated on the way."""
-    ranges = {d.var: _x_range(d, iv) for d, iv in zip(problem.dims, ivs)}
+    ranges = {d.var: Interval(Fraction(iv.lo), Fraction(iv.hi))
+              for d, iv in zip(problem.dims, ivs)}
     values = {v: r.lo for v, r in ranges.items() if r.lo == r.hi}
     while len(values) < len(problem.dims) + len(problem.defs):
         for d in problem.defs:
@@ -605,7 +612,7 @@ def test_far_chart_ratio_matches_direct_evaluation():
     for far in _charts("sum_square_vs_products")[1:]:
         u_dim = next(d for d in far.dims if d.var == "u")
         side = 1 if u_dim.hi > 0 else -1
-        for rho in (0.125, 0.03, 1e-4):
+        for rho in (1 / NEAR_RADIUS, 0.125, 0.03, 1e-4):
             for u in (0.1, 0.45, 0.9):
                 u = side * u
                 ev = evaluate_box(far, _far_box(far, FI(rho, rho), FI(u, u)))

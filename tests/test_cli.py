@@ -67,10 +67,11 @@ def test_usage_error():
 # -- bench harness -------------------------------------------------------------
 
 def test_bench_case_timeout_marked():
+    # a limit of 0 s has passed before the search's first pop on any machine
     case = BenchCase("slow", open("benchmarks/medians.gct").read(),
-                     expected=None, time_limit=0.05)
+                     expected=None, time_limit=0.0)
     row = run_case(case)
-    assert row.status in ("timeout", "fail")
+    assert row.status == "timeout"
 
 
 def test_bench_empty_suite_and_reports(tmp_path):

@@ -8,9 +8,9 @@ only) of exactly 0, 1 or -1 makes its product exact, a sum or difference
 with a `ZERO` second operand is its first, and a polynomial's sum starts at
 its first term plus 0.0. Every other
 operation is an `FI` operation, or `direction_cosine`, which belongs to the
-same arithmetic. The gradient table follows the generator's two rules: rows
-in x with dx/ds applied once to the ratio's gradient, and direction cosines
-for the roots of sums of squares. On seeded boxes of every chart of every
+same arithmetic. The gradient table follows the generator's rules: a
+dimension's row is its unit vector, and the roots of sums of squares go by
+direction cosines. On seeded boxes of every chart of every
 benchmark construction that compiles, the generated `evaluate_box`, its
 gradient fallback and `hull_contract` must agree with it bit for bit
 (signed zeros included).
@@ -38,8 +38,6 @@ from geomcompare.bounds import (
     CompileError,
     Dim,
     SqrtDef,
-    _map_real_line,
-    _unmap_real_line,
     compile_charts,
     evaluate_box,
     hull_contract,
@@ -215,8 +213,7 @@ class Reference:
     def build_env(self, ivs):
         p = self.p
         env = [FI(0.0, 0.0)] * (len(p.dims) + len(p.defs))
-        for i, dim in enumerate(p.dims):
-            env[i] = _map_real_line(ivs[i]) if dim.compactified else ivs[i]
+        env[:len(p.dims)] = ivs
         status = "feasible"
         for entry in self.c_defs:
             if entry[0] == "sqrt":
@@ -295,7 +292,6 @@ class Reference:
     def grad_table(self, box, env):
         p = self.p
         n = p.n_dims
-        # rows in x; dx/ds multiplies the ratio's gradient in `combine`
         grad = []
         for i in range(n):
             row = [ZERO] * n
@@ -360,18 +356,15 @@ class Reference:
                 inv = inverse(d)
                 grad.append([unknown(mul(sub(gn[j], mul(v, gd[j])), inv))
                              for j in range(n)])
-        scales = [map_real_line_grad(box.ivs[i]) if dim.compactified else ONE
-                  for i, dim in enumerate(p.dims)]
-        return (poly_grad(self.d_num), poly_grad(self.d_den), scales)
+        return poly_grad(self.d_num), poly_grad(self.d_den)
 
     def combine(self, env, table, ratio):
-        gnum, gden, scales = table
+        gnum, gden = table
         inv = inverse(self.c_den.eval(env))
-        return [unknown(mul(mul(sub(gnum[j], mul(ratio, gden[j])), inv), scales[j]))
+        return [unknown(mul(sub(gnum[j], mul(ratio, gden[j])), inv))
                 for j in range(self.p.n_dims)]
 
     def hull_contract(self, box, max_rounds=6):
-        p = self.p
         if not self.c_constraints and not self.c_signconds:
             return box
         ivs = list(box.ivs)
@@ -391,20 +384,15 @@ class Reference:
                     return None
                 if new_x is None:
                     continue
-                dim = p.dims[i]
-                if dim.compactified:
-                    new_s = FI(*_unmap_real_line(new_x.lo, new_x.hi))
-                else:
-                    new_s = new_x
                 cur = ivs[i]
-                inter = cur.intersect(new_s)
+                inter = cur.intersect(new_x)
                 if inter is None:
                     return None
                 if inter.width() < cur.width():
                     gain = max(gain, (cur.width() - inter.width()) /
                                max(cur.width(), 1e-300))
                     ivs[i] = inter
-                    env[i] = _map_real_line(inter) if dim.compactified else inter
+                    env[i] = inter
             for comp, sign in self.c_signconds:
                 iv = comp.eval(env)
                 if sign > 0 and iv.hi <= 0.0:
@@ -414,13 +402,6 @@ class Reference:
             if gain < 0.01:
                 break
         return Box(ivs)
-
-
-def map_real_line_grad(s):
-    one = FI(1.0, 1.0)
-    den = (one - s * s).power(2)
-    out = (one + s * s).divide(den)
-    return out if out is not None else FI(0.0, INF)
 
 
 def one_sided(num, den):
@@ -497,9 +478,9 @@ def _interval(rng: random.Random, dim: Dim, kind: str) -> FI:
     if kind == "zero" and lo <= 0.0 <= hi:
         return FI(rng.uniform(lo, 0.0) * rng.choice((1.0, 1e-6, 0.0)),
                   rng.uniform(0.0, hi) * rng.choice((1.0, 1e-6, 0.0)))
-    if kind == "edge" and dim.compactified:
-        x = rng.uniform(-1.0, 1.0)
-        return FI(x, 1.0) if rng.random() < 0.5 else FI(-1.0, x)
+    if kind == "edge":
+        x = rng.uniform(lo, hi)
+        return FI(x, hi) if rng.random() < 0.5 else FI(lo, x)
     a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
     return FI(a, b)
 
@@ -531,8 +512,8 @@ def _all_charts():
 
 def _weighted_distance():
     """A root of 4x^2 + 4xy + 3y^2 + 2 = 4(x + y/2)^2 + 2y^2 + 2: squares with
-    weights 4 and 2 (an inexact root) and a positive residual, over one plain
-    and one compactified dimension; no benchmark chart has such a distance."""
+    weights 4 and 2 (an inexact root) and a positive residual; no benchmark
+    chart has such a distance."""
     names = ("x", "y", "r")
     x, y, r = (Polynomial.variable(v, names) for v in names)
     return BoundProblem(dims=[Dim("x", False, -1.0, 1.0), Dim("y", True, -0.9, 0.9)],
@@ -693,9 +674,7 @@ def _mp_poly(p, env):
 
 def _mp_ratio(problem, s):
     """The chart's ratio at parameters s, through its definition chain."""
-    env = {}
-    for d, x in zip(problem.dims, s):
-        env[d.var] = x / (1 - x * x) if d.compactified else x
+    env = {d.var: x for d, x in zip(problem.dims, s)}
     for d in problem.defs:
         if isinstance(d, SqrtDef):
             env[d.var] = mpmath.sqrt(_mp_poly(d.radicand, env))
