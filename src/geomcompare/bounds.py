@@ -675,14 +675,14 @@ def witness_for_box(problem: BoundProblem, box: Box) -> Optional[Witness]:
     """A configuration inside the box, with its ratio enclosed by the
     chart's generated evaluator (`_evaluate_witness`) over a float box
     that holds it. Each dimension sits at the centre of an eighths window
-    of its interval. Each constraint claims one dimension and is solved for it in floats: the
-    root enclosure of its univariate view, proved to hold one real root
-    (`_proved_roots`), replaces the window point. Without constraints
-    there are no claims and the witness is a point box. A constraint of
-    degree above 2 in each of its dimensions has no view to claim, and its
-    chart has no witness. A second attempt samples the other window (and
-    flips the claim orientation), in case the first point sits on a
-    degeneracy or outside a thin feasible sliver."""
+    of its interval. Each constraint claims one dimension and is solved
+    for it in floats: the root enclosure of its univariate view, proved to
+    hold one real root (`_proved_roots`), replaces the window point.
+    Without constraints there are no claims and the witness is a point
+    box. A constraint of degree above 2 in each of its dimensions has no
+    view to claim, and its chart has no witness. A second attempt samples
+    the other window (and flips the claim orientation), in case the first
+    point sits on a degeneracy or outside a thin feasible sliver."""
     for bias in range(len(_WITNESS_WINDOWS)):
         ivs = _witness_box(problem, box, bias)
         w = None if ivs is None else _evaluate_witness(problem, ivs)
@@ -923,15 +923,14 @@ def _optimize(charts: list[BoundProblem], roots: list[tuple[int, Box]],
     minimized coordinates: the supremum search minimizes -m, so heap keys
     are lower bounds either way. The seeds, a polished witness per root,
     set the first incumbent; a witness on the first boxes and on every 8th
-    box improves it. Stops: the gap test, a
-    small rational pinned inside a gap below `tol`, an incumbent below
-    -`UNBOUNDED_AT`, an emptied heap, or the deadline. Boxes narrower than
-    `MIN_DIM_WIDTH` are dropped, their keys kept in the floor. A box that is
-    weakly monotone in some dimension is replaced by its face
-    (`_monotone_reduce`), so a limit along a face is searched on it. With
-    the direction-cosine gradients of distances (`boxcode`) the face's boxes
-    close at once: `medians` certifies its inf in 104 boxes,
-    `triangle_inequality` in 109."""
+    box improves it. Stops: the gap test, a small rational pinned inside a
+    gap below `tol`, an incumbent below -`UNBOUNDED_AT`, an emptied heap,
+    or the deadline. Boxes narrower than `MIN_DIM_WIDTH` are dropped, their
+    keys kept in the floor. A box that is weakly monotone in some dimension
+    is replaced by its face (`_monotone_reduce`), so a limit along a face is
+    searched on it. With the direction-cosine gradients of distances
+    (`boxcode`) the face's boxes close at once: `medians` certifies its
+    inf in 104 boxes, `triangle_inequality` in 109."""
 
     def low_key(ev: BoxEval) -> float:
         if ev.ratio is None:
@@ -1142,7 +1141,7 @@ def _ray_probe(problem: BoundProblem, box: Box) -> Optional[Witness]:
     return None
 
 
-def _quick_unbounded(charts: list[BoundProblem], roots: list[tuple[int, Box]],
+def _quick_unbounded(charts: list[BoundProblem], roots: list[tuple[int, Box]]
                      ) -> tuple[Optional[_Side], list[Optional[Witness]]]:
     """Detect an unbounded supremum up front: descent on each chart root
     plus a ray probe on the projective charts. Returns the unbounded side,

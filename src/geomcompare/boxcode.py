@@ -38,11 +38,11 @@ operation happens in the same order, with the same rounding:
 * the gradient table works in the box's coordinates, which are those of
   the definition chain: a dimension's row is its unit vector, and the
   ratio's gradient is (gnum - r * gden) / den. A root whose radicand is a
-  sum of completed
-  squares sum(a_i L_i^2) plus a constant r >= 0 (every distance) has the
-  row sum(sqrt(a_i) u_i dL_i), each direction cosine u_i enclosed by
-  `float_intervals.direction_cosine` over sqrt(a_i) L_i and the sum of the
-  radicand's other terms; the generated code calls that function as it is.
+  sum of completed squares sum(a_i L_i^2) plus a constant r >= 0 (every
+  distance) has the row sum(sqrt(a_i) u_i dL_i), each direction cosine u_i
+  enclosed by `float_intervals.direction_cosine` over sqrt(a_i) L_i and the
+  sum of the radicand's other terms; the generated code calls that function
+  as it is.
   Other roots have the row dR / (2 sqrt(R)), and a root whose lower end
   reaches 0 the whole line.
 

@@ -113,7 +113,7 @@ def ratio_sample(t: Translation, rng: random.Random,
     return figure_with_statement(t, fig)["m"], br
 
 
-def constant_ratio_evidence(t: Translation, rng: random.Random,
+def constant_ratio_evidence(t: Translation, rng: random.Random
                             ) -> Optional[tuple[Interval, Interval]]:
     """Two instantiations with a fixed branch choice whose ratios differ by
     more than 1e-6, or None when every sampled pair agrees (suggesting a
