@@ -10,18 +10,32 @@ GET /euclideansolver?lhs=w1&rhs=v11&polys=...&vars=...&posvariables=...
 POST /compare
     accepts a .gct construction body (UTF-8, at most MAX_BODY bytes, with a
     Content-Length), answers a structured JSON document.
+
+The HTTP threads only read, validate and write; a pool of forked worker
+processes computes every response (`Server`). Each request writes one JSON
+line to standard error.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
+import threading
 import time
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .bounds import CompileError, branch_and_bound, compile_charts
-from .construction import ConstructionProgram, GctError, TaggedPoly, Translation
+from .construction import (
+    ConstructionProgram,
+    GctError,
+    TaggedPoly,
+    Translation,
+    parse_construction,
+)
 from .pipeline import (
     CompareConfig,
     CompareResult,
@@ -35,6 +49,7 @@ from .presolve import presolve
 
 
 MAX_BODY = 1 << 20     # bytes: larger POST /compare bodies are refused (413)
+PR_SET_PDEATHSIG = 1   # <linux/prctl.h>
 
 
 class WireError(ValueError):
@@ -166,85 +181,190 @@ def render_document(doc: dict) -> str:
 # server
 # ---------------------------------------------------------------------------
 
-def make_handler(timeout: float):
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, fmt, *args):
-            pass
+TEXT, JSON = "text/plain", "application/json"
 
-        def _send(self, code: int, body: str, ctype: str = "text/plain"):
-            data = body.encode()
-            self.send_response(code)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
 
-        def do_GET(self):
-            url = urlparse(self.path)
-            if url.path != "/euclideansolver":
-                self._send(404, "not found")
-                return
-            raw = parse_qs(url.query, keep_blank_values=True)
-            params = {k: v[0] for k, v in raw.items()}
-            try:
-                body = solve_wire(params, timeout)
-            except (WireError, PolynomialParseError) as e:
-                self._send(400, f"bad request: {e}")
-                return
-            except CompileError as e:
-                self._send(422, f"not searchable: {e}")
-                return
-            except Exception as e:
-                self._send(500, f"error: {e}")
-                return
-            if body == "timeout":
-                self._send(408, "timeout")
-                return
-            self._send(200, body)
+def respond(path: str, payload: str, timeout: float) -> tuple[int, str, str]:
+    """(status, body, content type) of a request the HTTP thread has read and
+    validated: `payload` is the query string of GET /euclideansolver or the
+    body of POST /compare. Runs in a worker process; the time limit starts
+    here."""
+    if path == "/compare":
+        try:
+            prog = parse_construction(payload)
+            # the module global, looked up now: a worker runs whatever the
+            # host bound there before it forked
+            result = compare_source(payload, CompareConfig(timeout=timeout))
+        except GctError as e:
+            return 400, f"bad construction: {e}", TEXT
+        except Exception as e:
+            return 500, f"error: {e}", TEXT
+        return 200, render_document(result_document(result, prog)), JSON
+    raw = parse_qs(payload, keep_blank_values=True)
+    try:
+        body = solve_wire({k: v[0] for k, v in raw.items()}, timeout)
+    except (WireError, PolynomialParseError) as e:
+        return 400, f"bad request: {e}", TEXT
+    except CompileError as e:
+        return 422, f"not searchable: {e}", TEXT
+    except Exception as e:
+        return 500, f"error: {e}", TEXT
+    if body == "timeout":
+        return 408, "timeout", TEXT
+    return 200, body, TEXT
 
-        def do_POST(self):
-            url = urlparse(self.path)
-            if url.path != "/compare":
-                self._send(404, "not found")
-                return
-            raw = (self.headers.get("Content-Length") or "").strip()
-            if not (raw.isascii() and raw.isdigit()):
-                self._send(400, "bad request: missing or invalid Content-Length")
-                return
-            length = int(raw)
-            if length > MAX_BODY:
-                self._send(413, f"body over {MAX_BODY} bytes")
-                return
-            try:
-                src = self.rfile.read(length).decode("utf-8")
-            except UnicodeDecodeError:
-                self._send(400, "bad request: body is not UTF-8")
-                return
-            try:
-                from .construction import parse_construction
-                prog = parse_construction(src)
-                result = compare_source(src, CompareConfig(timeout=timeout))
-            except GctError as e:
-                self._send(400, f"bad construction: {e}")
-                return
-            except Exception as e:
-                self._send(500, f"error: {e}")
-                return
-            doc = result_document(result, prog)
-            self._send(200, render_document(doc), "application/json")
 
-    return Handler
+def _timed_respond(path: str, payload: str, timeout: float):
+    """`respond` with this worker's pid, its start on the monotonic clock
+    (one clock for every process on Linux) and its compute seconds."""
+    start = time.monotonic()
+    response = respond(path, payload, timeout)
+    return response, os.getpid(), start, time.monotonic() - start
+
+
+def _init_worker(host: int) -> None:
+    # Ctrl-C at a terminal reaches the whole process group: the host stops
+    # the workers, which must not die mid-request on their own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # and a SIGKILLed host takes its workers with it
+    import ctypes
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != host:        # the host died before the prctl
+        os._exit(1)
+
+
+class Handler(BaseHTTPRequestHandler):
+    """Reads, validates and writes; `respond` computes in a worker."""
+
+    server: "Server"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _send(self, code: int, body: str, ctype: str = TEXT,
+              worker: tuple = (None, None, None)):
+        data = body.encode()
+        self.send_response(code)
+        self.send_header("Content-Type", ctype)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        pid, queue_s, compute_s = worker
+        sys.stderr.write(json.dumps({
+            "method": self.command, "path": urlparse(self.path).path,
+            "status": code, "bytes": len(data), "queue_s": queue_s,
+            "compute_s": compute_s, "pid": pid}) + "\n")
+
+    def do_GET(self):
+        url = urlparse(self.path)
+        if url.path != "/euclideansolver":
+            self._send(404, "not found")
+            return
+        self._send(*self.server.compute(url.path, url.query))
+
+    def do_POST(self):
+        url = urlparse(self.path)
+        if url.path != "/compare":
+            self._send(404, "not found")
+            return
+        raw = (self.headers.get("Content-Length") or "").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send(400, "bad request: missing or invalid Content-Length")
+            return
+        length = int(raw)
+        if length > MAX_BODY:
+            self._send(413, f"body over {MAX_BODY} bytes")
+            return
+        try:
+            src = self.rfile.read(length).decode("utf-8")
+        except UnicodeDecodeError:
+            self._send(400, "bad request: body is not UTF-8")
+            return
+        self._send(*self.server.compute(url.path, src))
+
+
+class Server(ThreadingHTTPServer):
+    """HTTP threads that hand every response to a pool of forked worker
+    processes, one per CPU this process may run on.
+
+    Workers are forked, not spawned, so they run the code the host has
+    loaded, including functions it has rebound since import. A worker dies
+    with the thread that forked it, so the pool is forked only by the thread
+    that creates the server and, after a worker crash, by the thread running
+    `serve_forever`; both live as long as the server. `server_close` stops
+    and joins the workers."""
+
+    def __init__(self, address: tuple[str, int], timeout: float):
+        super().__init__(address, Handler)
+        self.compute_timeout = timeout
+        self._lock = threading.Lock()       # guards replacing a broken pool
+        self._ready = threading.Event()     # clear while the pool is broken
+        try:
+            self.pool = self._start_pool()
+        except BaseException:
+            super().server_close()
+            raise
+        self._ready.set()
+
+    def _start_pool(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            len(os.sched_getaffinity(0)), multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(os.getpid(),))
+        # with fork, the first submit starts every worker
+        pool.submit(int).result()
+        return pool
+
+    def compute(self, path: str, payload: str) -> tuple:
+        """`Handler._send` arguments for the response from a worker."""
+        from concurrent.futures.process import BrokenProcessPool
+        received = time.monotonic()
+        self._ready.wait()
+        pool = self.pool
+        try:
+            (code, body, ctype), pid, start, compute_s = pool.submit(
+                _timed_respond, path, payload, self.compute_timeout).result()
+        except BrokenProcessPool as e:
+            with self._lock:
+                if self.pool is pool:
+                    self._ready.clear()
+            return 500, f"error: a worker process crashed: {e}", TEXT
+        return code, body, ctype, (pid, round(start - received, 6),
+                                   round(compute_s, 6))
+
+    def service_actions(self):
+        # runs on the thread in `serve_forever`: the one to fork from
+        if not self._ready.is_set():
+            with self._lock:
+                broken, self.pool = self.pool, self._start_pool()
+                self._ready.set()
+            broken.shutdown()
+
+    def server_close(self):
+        super().server_close()
+        self.pool.shutdown(cancel_futures=True)
 
 
 def serve(host: str = "127.0.0.1", port: int = 8765,
-          timeout: float = 5.0) -> ThreadingHTTPServer:
-    server = ThreadingHTTPServer((host, port), make_handler(timeout))
-    return server
+          timeout: float = 5.0) -> Server:
+    """Bind the server and fork its workers; call `serve_forever` next."""
+    return Server((host, port), timeout)
 
 
 def serve_forever(host: str = "127.0.0.1", port: int = 8765,
                   timeout: float = 5.0):
     server = serve(host, port, timeout)
-    print(f"listening on http://{host}:{port} "
-          f"(GET /euclideansolver, POST /compare, timeout {timeout:g}s)")
-    server.serve_forever()
+    try:
+        print(f"listening on http://{host}:{server.server_address[1]} "
+              f"(GET /euclideansolver, POST /compare, timeout {timeout:g}s, "
+              f"{len(os.sched_getaffinity(0))} worker processes)", flush=True)
+        server.serve_forever()
+    finally:
+        server.server_close()

@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -26,14 +31,23 @@ MEDIAN_POLYS = (
 MEDIAN_VARS = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,v11,v12,v13,v14,w1"
 
 
+def _start(timeout=8.0):
+    """A served `serve()` on a free port, and its base URL."""
+    srv = serve("127.0.0.1", 0, timeout=timeout)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    return srv, f"http://127.0.0.1:{srv.server_address[1]}"
+
+
+def _stop(srv):
+    srv.shutdown()
+    srv.server_close()
+
+
 @pytest.fixture(scope="module")
 def server():
-    srv = serve("127.0.0.1", 18970, timeout=8.0)
-    th = threading.Thread(target=srv.serve_forever, daemon=True)
-    th.start()
-    time.sleep(0.1)
-    yield "http://127.0.0.1:18970"
-    srv.shutdown()
+    srv, base = _start()
+    yield base
+    _stop(srv)
 
 
 def _get(base, params):
@@ -145,3 +159,139 @@ def test_post_compare_still_answers_after_bad_requests(server):
     src = open("benchmarks/pythagoras_right.gct").read().encode()
     status, body = _post_raw(server, {"Content-Length": str(len(src))}, src)
     assert status == 200 and json.loads(body)["variant"] == "exact"
+
+
+def _post(base, src):
+    req = urllib.request.Request(f"{base}/compare", data=src.encode())
+    with urllib.request.urlopen(req, timeout=60) as r:
+        return r.read().decode()
+
+
+def _without_timings(doc):
+    return render_document({k: v for k, v in doc.items() if k != "timings"})
+
+
+def test_concurrent_posts_match_in_process(server):
+    from geomcompare.construction import parse_construction
+    from geomcompare.pipeline import CompareConfig, compare_source
+
+    sources = [open(f"benchmarks/{name}.gct").read()
+               for name in ("pythagoras_relaxed", "medians")]
+    replies = {}
+
+    def client(i):
+        replies[i] = _post(server, sources[i])
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    for i, src in enumerate(sources):
+        result = compare_source(src, CompareConfig(timeout=8.0))
+        doc = result_document(result, parse_construction(src))
+        assert _without_timings(json.loads(replies[i])) == _without_timings(doc)
+
+
+def test_one_log_line_per_request(server, capfd):
+    capfd.readouterr()
+    assert _get(server, {"lhs": "x", "rhs": "x", "polys": "x-1", "vars": "x",
+                         "posvariables": "x"}) == "m = 1"
+    lines = []
+    deadline = time.monotonic() + 5
+    while not lines and time.monotonic() < deadline:
+        # the line is written after the reply
+        lines = [json.loads(line) for line in capfd.readouterr().err.splitlines()
+                 if line.startswith("{")]
+        time.sleep(0.01)
+    assert len(lines) == 1
+    line = lines[0]
+    assert {k: line[k] for k in ("method", "path", "status", "bytes")} == {
+        "method": "GET", "path": "/euclideansolver", "status": 200, "bytes": 5}
+    assert line["queue_s"] >= 0 and line["compute_s"] >= 0
+    assert line["pid"] != os.getpid()
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_worker_crash_is_a_500_and_the_pool_is_rebuilt():
+    before = _children()
+    srv, base = _start()
+    try:
+        workers = _children() - before
+        os.kill(next(iter(workers)), signal.SIGKILL)
+        # the pool stops its other workers once it sees the crash
+        deadline = time.monotonic() + 10
+        while _children() & workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        src = open("benchmarks/pythagoras_right.gct").read().encode()
+        status, body = _post_raw(base, {"Content-Length": str(len(src))}, src)
+        assert status == 500 and "crashed" in body
+        status, body = _post_raw(base, {"Content-Length": str(len(src))}, src)
+        assert status == 200 and json.loads(body)["variant"] == "exact"
+    finally:
+        _stop(srv)
+    assert _children() == before
+
+
+def test_server_close_joins_every_worker():
+    before = _children()
+    srv, _ = _start()
+    assert len(_children() - before) == len(os.sched_getaffinity(0))
+    _stop(srv)
+    assert _children() == before
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _child_pids(ppid):
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as f:
+                    if int(f.read().rsplit(")", 1)[1].split()[1]) == ppid:
+                        pids.append(int(entry))
+            except (FileNotFoundError, ProcessLookupError):
+                pass
+    return pids
+
+
+def test_sigkilled_serve_leaves_no_worker():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from geomcompare.cli import main; "
+         "main(['serve', '--port', '0'])"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stdout.readline().startswith("listening on http://")
+        workers = _child_pids(proc.pid)
+        assert len(workers) == len(os.sched_getaffinity(0))
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
+
+
+def test_importing_geomcompare_leaves_the_service_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, geomcompare; "
+         "print('geomcompare.service' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"))
+    assert out.stdout.strip() == "False"
