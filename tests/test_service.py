@@ -9,6 +9,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -175,7 +176,7 @@ def test_concurrent_posts_match_in_process(server):
     from geomcompare.construction import parse_construction
     from geomcompare.pipeline import CompareConfig, compare_source
 
-    sources = [open(f"benchmarks/{name}.gct").read()
+    sources = [Path(f"benchmarks/{name}.gct").read_text()
                for name in ("pythagoras_relaxed", "medians")]
     replies = {}
 
@@ -227,7 +228,7 @@ def test_worker_crash_is_a_500_and_the_pool_is_rebuilt():
         deadline = time.monotonic() + 10
         while _children() & workers and time.monotonic() < deadline:
             time.sleep(0.01)
-        src = open("benchmarks/pythagoras_right.gct").read().encode()
+        src = Path("benchmarks/pythagoras_right.gct").read_bytes()
         status, body = _post_raw(base, {"Content-Length": str(len(src))}, src)
         assert status == 500 and "crashed" in body
         status, body = _post_raw(base, {"Content-Length": str(len(src))}, src)
