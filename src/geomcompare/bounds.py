@@ -18,11 +18,12 @@ hull-consistency coefficients, and the root's enclosure is proved to hold
 a real root. Exact algebra is left to presenting the bounds (`exactify`,
 the small-rational stop and `_assemble_side`).
 
-Box evaluation is generated code: building a `BoundProblem` writes its
-definition chain, constraints, sign conditions, natural and centered forms
-and gradient table out as straight-line float code (`boxcode`) and loads it
-with `exec`. `evaluate_box`, `hull_contract` and the witnesses call it, so a
-chart's definition chain is evaluated by this one piece of code. Its
+Box evaluation is generated code: a `BoundProblem` writes its definition
+chain, constraints, sign conditions, natural and centered forms and
+gradient table out as straight-line float code (`boxcode`) and loads it
+with `exec`, in three stages, each the first time the search needs it.
+`evaluate_box`, `hull_contract` and the witnesses call it, so a chart's
+definition chain is evaluated by this one piece of code. Its
 enclosures are bit-identical to `FI` arithmetic on the same formulas, but
 that operations whose result is exact (a product by a known 1, -1 or 0,
 say) are not rounded (`boxcode`).
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .algebraic import AlgebraicNumber, RadicalForm, isolate_real_roots, to_radical
 from .construction import Translation
-from .boxcode import BoxEval, compile_evaluator, evaluator_source
+from .boxcode import BoxEval, compile_stage, evaluator_source
 from .float_intervals import FI, INF, up
 from .intervals import Interval
 from .polynomials import Polynomial, poly_from_univariate
@@ -118,9 +120,11 @@ class BoundProblem:
         self.witness_signconds = [(_fi_terms(p, self.var_index), s)
                                   for p, s in self.signconds]
         self.witness_margins = [_fi_terms(p, self.var_index) for p in self.margins]
-        entry = compile_evaluator(self)
-        self.evaluate = entry["evaluate"]
-        # generated only where the search contracts boxes
+        # stage 0, hull consistency, generated only where the search
+        # contracts boxes; stages 1 and 2 are generated on first use
+        entry = compile_stage(self, 0)
+        self._natural = self._centred = None
+        self._compiling = threading.Lock()
         self.contract_env = entry.get("contract_env")
         self.signs_hold = entry.get("signs_hold")
         self.narrowers = entry.get("NARROWERS", [])
@@ -135,9 +139,29 @@ class BoundProblem:
             if i not in needs:
                 self.witness_views.append((c, i, frozenset(needs), narrow))
 
+    def evaluate(self, ivs: list[FI], prune_key: Optional[Callable[[FI], bool]]) -> BoxEval:
+        """The BoxEval of a box: the natural form (stage 1), and where
+        `prune_key` does not accept its enclosure, the centered form
+        (stage 2), which continues from stage 1's locals."""
+        out = (self._natural or self._stage(1))(ivs, prune_key)
+        if type(out) is tuple:
+            out = (self._centred or self._stage(2))(*out)
+        return out
+
+    def _stage(self, k: int) -> Callable:
+        """Stage k's entry point, compiled by the first thread that needs
+        it."""
+        with self._compiling:
+            if k == 1 and self._natural is None:
+                self._natural = compile_stage(self, 1)["evaluate"]
+            if k == 2 and self._centred is None:
+                self._centred = compile_stage(self, 2)["centred"]
+        return self._natural if k == 1 else self._centred
+
     @property
     def evaluator_source(self) -> str:
-        """The generated evaluator, generated again (the same text)."""
+        """The generated evaluator, all three stages, generated again (the
+        same text)."""
         return evaluator_source(self)
 
 

@@ -1,8 +1,11 @@
 """Generated straight-line float code for the box evaluator of one
 `BoundProblem` (`bounds.py`).
 
-`compile_evaluator` writes Python source for a problem once, when the
-problem is built, and loads it with `exec`; nothing is generated at import.
+`compile_stage` writes Python source for one stage of a problem's evaluator
+and loads it with `exec`; nothing is generated at import. A problem compiles
+each stage the first time its search needs it (`BoundProblem`), so a chart
+whose root box contracts to empty compiles no box evaluation, and a chart
+whose boxes are all pruned on their natural enclosure no centered form.
 The generated functions work on float locals, one `lo`/`hi` pair per
 interval, instead of `FI` objects. `FI.__mul__`'s sign cases, `FI.power`,
 `FI.sqrt`, `FI.divide` and the outward rounding of `down`/`up` are written
@@ -50,13 +53,24 @@ Interval endpoints are never NaN, lower ends are never +inf and upper ends
 never -inf (`down`/`up` cannot return them), so the NaN test after a
 product is left out where one factor is a finite nonzero constant.
 
-A generated namespace holds `evaluate(ivs, prune_key)` (the whole
-`evaluate_box`: definition chain, constraints, sign conditions, natural
-quotient, centre value, gradient table and the centered-form iterations),
-and for hull consistency `contract_env(ivs)`,
-`signs_hold(env)` and `NARROWERS`, one coefficient function per
-univariate view of a constraint, listed with the indices of its constraint
-and dimension.
+The stages, each loaded into a namespace of its own:
+
+0. hull consistency, built with the problem where it has constraints or
+   sign conditions: `contract_env(ivs)`, `signs_hold(env)` and
+   `NARROWERS`, one coefficient function per univariate view of a
+   constraint, listed with the indices of its constraint and dimension;
+1. the natural form, built at the first box or witness:
+   `evaluate(ivs, prune_key)`, the definition chain, constraints, sign
+   conditions and natural quotient. It returns the `BoxEval` where the box
+   is excluded or `prune_key` accepts the natural enclosure, and otherwise
+   the tuple of its locals that stage 2 reads;
+2. the centered form, built at the first box that is not pruned:
+   `centred(...)` takes that tuple and runs the centre value, gradient table
+   and centered-form iterations. Its source is written by the generator
+   run through stage 1 again, so both stages name the same values alike.
+
+`mul`, the product of two intervals of unknown signs, is the same for
+every problem and is compiled once per process.
 """
 
 from __future__ import annotations
@@ -70,7 +84,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .float_intervals import FI, INF, direction_cosine, down, up
+from .float_intervals import (FI, INF, direction_cosine, down, one_sided_quotient,
+                              root_of_constant, up)
 from .polynomials import Polynomial
 
 
@@ -81,32 +96,6 @@ class BoxEval:
     ratio: Optional[FI] = None
     grads: Optional[list[FI]] = None   # d(ratio)/d(param) over the box
     sign_active: frozenset = frozenset()   # dims in undecided sign conditions
-
-
-def root_of_constant(a: FI) -> FI:
-    """sqrt(a) for a known a > 0: the point root where a is a float whose
-    root is a float (exactly), else the outward `FI.sqrt`."""
-    r = math.sqrt(a.lo)
-    if a.lo == a.hi and Fraction(r) ** 2 == Fraction(a.lo):
-        return FI(r, r)
-    return a.sqrt()
-
-
-def one_sided_quotient(num: FI, den: FI) -> FI:
-    """Enclosure of num/den when the denominator touches zero on one side
-    (quotients of nonnegative quantities stay bounded on one side)."""
-    lo, hi = -INF, INF
-    if den.lo >= 0.0 and den.hi > 0.0:
-        if num.lo >= 0.0:
-            lo = down(num.lo / den.hi)
-        if num.hi <= 0.0:
-            hi = up(num.hi / den.hi)
-    elif den.hi <= 0.0 and den.lo < 0.0:
-        if num.lo >= 0.0:
-            hi = up(num.lo / den.lo)
-        if num.hi <= 0.0:
-            lo = down(num.hi / den.lo)
-    return FI(lo, hi)
 
 
 def complete_squares(poly: Polynomial) -> tuple[list[tuple[FI, Polynomial]], Polynomial]:
@@ -240,8 +229,8 @@ def _decide(facts: dict, x, op: str, then, other):
 
 PIECE_LINES = 60
 
-# the helpers the generated code reads from its namespace; `compile_evaluator`
-# adds `SD`, the problem's sign-condition dims
+# the helpers the generated code reads from its namespace; `compile_stage`
+# adds `mul` and `SD`, the problem's sign-condition dims
 _HELPERS = {
     "FI": FI, "BoxEval": BoxEval, "one_sided": one_sided_quotient,
     "INF": INF, "NINF": -INF, "nextafter": math.nextafter,
@@ -254,12 +243,15 @@ _CALLEES = frozenset(("mul", "centre"))
 _GLOBALS = _CALLEES | _HELPERS.keys() | {"SD"} | frozenset(keyword.kwlist)
 _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _DEF = re.compile(r"^def (\w+)\(", re.M)
+_QUOTED = re.compile(r"'[^']*'")
 
 
-def _names(line: str) -> set[str]:
-    """Identifiers of a generated line, outside string literals and
+def _names(text: str) -> set[str]:
+    """Identifiers of generated lines, outside string literals and
     attribute names."""
-    return set(_NAME.findall(re.sub(r"'[^']*'", "", line)))
+    if "'" in text:
+        text = _QUOTED.sub("", text)
+    return set(_NAME.findall(text))
 
 
 def product_source() -> str:
@@ -356,7 +348,7 @@ class Emitter:
         did not receive to None on entry: a piece reads a local only where
         the whole function would have assigned it, so no None is read.
         Generated functions that a piece calls are bound as defaults, so
-        the namespace need not hold them (see `compile_evaluator`)."""
+        the namespace need not hold them (see `compile_stage`)."""
         header, body = self.lines[0], self.lines[1:]
         units: list[list[str]] = []
         for line in body:
@@ -371,7 +363,7 @@ class Emitter:
             chunks[-1].extend(unit)
         name = header[4:header.index("(")]
         params = _names(header[header.index("("):])
-        used = [set().union(*(_names(line) for line in chunk)) for chunk in chunks]
+        used = [_names("\n".join(chunk)) for chunk in chunks]
         passed, seen = [], set(params)
         for k in range(1, len(chunks)):
             seen |= used[k - 1]
@@ -953,8 +945,14 @@ class _Generator:
         f.emit(f"return ({_lit(q.lo)}, {_lit(q.hi)})")
         return f.pieces()
 
-    def evaluate(self) -> list[str]:
-        """`evaluate(ivs, prune_key)`: the BoxEval of the box."""
+    def evaluate(self, centred: bool) -> list[str]:
+        """Stage 1, `evaluate(ivs, prune_key)`: the BoxEval of the box from the
+        natural form, or the tuple of its locals that stage 2 may read. Those
+        hold the box, the definition chain, the ratio and every value cached
+        on all paths to the end of stage 1, the only values the centered form
+        takes from the natural one. With `centred`, stage 2 instead:
+        `centred(...)` over that tuple, the BoxEval from the iterated
+        centered form, with `centre`, which it calls."""
         f = Emitter("def evaluate(ivs, prune_key):")
         infeasible = "return BoxEval('infeasible')"
         box = self.load_box(f)
@@ -981,6 +979,17 @@ class _Generator:
         f.emit("r = FI(rl, rh)")
         f.emit("if prune_key is not None and prune_key(r):")
         f.emit("    return BoxEval(status, env, r, None, act)")
+        values = [*box, *env.slots.values(), ratio, inv,
+                  *(V(*den) if none else den for den, none in env.dens.values())]
+        for hit in f.scopes[-1].values():
+            values += hit if isinstance(hit, tuple) else [hit]
+        names = {x for v in values for x in (v.lo, v.hi) if isinstance(x, str)}
+        handed = ", ".join(sorted(names | {"status", "env", "act", "r"}))
+        if not centred:
+            f.emit(f"return {handed}")
+            return f.pieces()
+        # stage 2 goes on with stage 1's names and cached values
+        f.lines = [f"def centred({handed}):"]
         # centered form, iterated: a tighter ratio enclosure tightens the
         # quotient-rule combination (the gradient table is reused)
         for i in range(self.n):
@@ -1011,7 +1020,7 @@ class _Generator:
             f.emit("rl = lo")
             f.emit("rh = hi")
         f.emit(f"return BoxEval(status, env, FI(rl, rh), {listed}, act)")
-        return f.pieces()
+        return [*self.centre(), *f.pieces()]
 
     def contract_env(self) -> list[str]:
         """The environment as a flat list [lo0, hi0, lo1, ...], or None when
@@ -1049,17 +1058,19 @@ class _Generator:
         f.emit(f"return ({', '.join(out)})")
         return f.pieces()
 
-    def functions(self) -> list[str]:
-        """The source of each function. The hull-consistency functions only
-        for problems with constraints or sign conditions: without them the
-        search does not contract."""
-        parts = [product_source(), *self.centre(), *self.evaluate()]
-        if self.problem.constraints or self.problem.signconds:
-            views = self.narrow_views()
-            parts += [*self.contract_env(), *self.signs_hold()]
-            parts += [p for k, (_, _, view) in enumerate(views) for p in self.narrower(k, view)]
-            parts.append("NARROWERS = [" + ", ".join(
-                f"({c}, {i}, narrow{k})" for k, (c, i, _) in enumerate(views)) + "]\n")
+    def stage(self, k: int) -> list[str]:
+        """The source of each function of stage k. Stage 0 is empty for
+        problems without constraints or sign conditions: their search does
+        not contract."""
+        if k:
+            return self.evaluate(centred=k == 2)
+        if not (self.problem.constraints or self.problem.signconds):
+            return []
+        views = self.narrow_views()
+        parts = [*self.contract_env(), *self.signs_hold()]
+        parts += [p for j, (_, _, view) in enumerate(views) for p in self.narrower(j, view)]
+        parts.append("NARROWERS = [" + ", ".join(
+            f"({c}, {i}, narrow{j})" for j, (c, i, _) in enumerate(views)) + "]\n")
         return parts
 
 
@@ -1073,22 +1084,34 @@ def _malloc_trim():
         return None
 
 
+@functools.cache
+def _compiled_mul():
+    """`mul`, compiled once per process: its source is the same for every
+    problem."""
+    namespace = dict(_HELPERS)
+    exec(compile(product_source(), "<box evaluator: mul>", "exec"), namespace)
+    return namespace.pop("mul")
+
+
 def evaluator_source(problem) -> str:
-    return "\n".join(_Generator(problem).functions())
+    """The source of `mul` and of the problem's three stages."""
+    generator = _Generator(problem)
+    return "\n".join([product_source(), *(p for k in range(3) for p in generator.stage(k))])
 
 
-def compile_evaluator(problem) -> dict:
-    """Generate and load the evaluator of `problem`; returns its entry
-    points by name (`evaluate`, and for hull consistency `contract_env`,
-    `signs_hold` and `NARROWERS`).
+def compile_stage(problem, k: int) -> dict:
+    """Generate and load stage k of the evaluator of `problem`; returns its
+    entry points by name (stage 0: `contract_env`, `signs_hold` and
+    `NARROWERS`, or nothing; stage 1: `evaluate`; stage 2: `centred`).
 
     The generated names are taken out of the namespace the functions read
     their helpers from: a namespace holding its own functions would be a
     reference cycle, and each finished problem's code would stay in memory
-    until a full garbage collection."""
-    parts = _Generator(problem).functions()
-    namespace = {**_HELPERS, "SD": list(problem.signcond_dims)}
-    filename = f"<box evaluator: {problem.chart} chart>"
+    until a full garbage collection. Neither the generator nor the source
+    outlives the call, so a later stage generates its source again."""
+    parts = _Generator(problem).stage(k)
+    namespace = {**_HELPERS, "mul": _compiled_mul(), "SD": list(problem.signcond_dims)}
+    filename = f"<box evaluator: {problem.chart} chart, stage {k}>"
     # one piece at a time: the parser's peak follows the largest piece
     for part in parts:
         exec(compile(part, filename, "exec"), namespace)
@@ -1098,7 +1121,7 @@ def compile_evaluator(problem) -> dict:
     # large blocks are freed. Each server thread that compiled would keep a
     # parser's peak.
     trim = _malloc_trim()
-    if trim is not None:
+    if parts and trim is not None:
         trim(0)
     generated = {m.group(1) for part in parts for m in _DEF.finditer(part)} | {"NARROWERS"}
     return {name: namespace.pop(name) for name in list(namespace) if name in generated}

@@ -20,6 +20,8 @@ too; `tests/test_codegen.py` compares the two.
 a L^2 of a distance's radicand R. The generated gradient table calls it as
 it is. It bounds that square's share of the distance's derivative by
 sqrt(a) |dL|, where dR / (2 sqrt(R)) would enclose L twice, independently.
+The generated code also calls `one_sided_quotient`, and its generator
+folds constant roots with `root_of_constant`.
 """
 
 from __future__ import annotations
@@ -171,6 +173,32 @@ class FI:
 
     def __repr__(self):
         return f"fi[{self.lo!r}, {self.hi!r}]"
+
+
+def root_of_constant(a: FI) -> FI:
+    """sqrt(a) for a known a > 0: the point root where a is a float whose
+    root is a float (exactly), else the outward `FI.sqrt`."""
+    r = math.sqrt(a.lo)
+    if a.lo == a.hi and Fraction(r) ** 2 == Fraction(a.lo):
+        return FI(r, r)
+    return a.sqrt()
+
+
+def one_sided_quotient(num: FI, den: FI) -> FI:
+    """Enclosure of num/den when the denominator touches zero on one side
+    (quotients of nonnegative quantities stay bounded on one side)."""
+    lo, hi = -INF, INF
+    if den.lo >= 0.0 and den.hi > 0.0:
+        if num.lo >= 0.0:
+            lo = down(num.lo / den.hi)
+        if num.hi <= 0.0:
+            hi = up(num.hi / den.hi)
+    elif den.hi <= 0.0 and den.lo < 0.0:
+        if num.lo >= 0.0:
+            hi = up(num.lo / den.lo)
+        if num.hi <= 0.0:
+            lo = down(num.hi / den.lo)
+    return FI(lo, hi)
 
 
 def direction_cosine(wl: float, wh: float, ql: float, qh: float) -> tuple[float, float]:

@@ -178,6 +178,40 @@ def test_search_box_counts(name, boxes):
     assert res.boxes == boxes
 
 
+def _compiled_stages(monkeypatch, name):
+    """The search of `name`'s charts, and the stages each chart generated
+    (stage 0 is empty without constraints or sign conditions)."""
+    stages: dict[int, list[int]] = {}
+    compile_stage = bounds.compile_stage
+
+    def recording(problem, k):
+        entry = compile_stage(problem, k)
+        if entry:
+            stages.setdefault(id(problem), []).append(k)
+        return entry
+
+    monkeypatch.setattr(bounds, "compile_stage", recording)
+    charts = _charts(name)
+    res = branch_and_bound(charts, deadline=time.monotonic() + 30)
+    assert not res.timed_out
+    return charts, [sorted(stages.get(id(c), [])) for c in charts]
+
+
+def test_far_charts_contracted_to_empty_generate_no_box_evaluation(monkeypatch):
+    """Each stage of a chart's evaluator is compiled once, at its first use:
+    the far charts of the right triangle contract to empty at their root,
+    so they compile hull consistency only."""
+    charts, stages = _compiled_stages(monkeypatch, "right_triangle_perimeter_vs_circumradius")
+    assert [c.chart for c in charts] == ["near", "far", "far"]
+    assert stages == [[0, 1, 2], [0], [0]]
+
+
+def test_far_charts_whose_boxes_are_all_pruned_generate_no_centered_form(monkeypatch):
+    charts, stages = _compiled_stages(monkeypatch, "medians")
+    assert [c.chart for c in charts] == ["near", "far", "far"]
+    assert stages == [[1, 2], [1], [1]]
+
+
 def test_each_root_is_contracted_once_and_descended_once_per_side(monkeypatch):
     """A search contracts each chart's root box once, and descends from each
     contracted root once for the inf and once for the sup: the sup search
@@ -527,6 +561,10 @@ def test_witnesses_use_no_rational_arithmetic(monkeypatch):
 
     boxes = [(problem, box) for _, problem, box in _seeded_witness_boxes(random.Random(7))]
     assert len({id(problem) for problem, _ in boxes}) >= 20
+    # a chart generates its evaluator, with rational coefficients, at its
+    # first box; the witnesses below use code generated before
+    for problem in {id(problem): problem for problem, _ in boxes}.values():
+        evaluate_box(problem, Box([FI(d.lo, d.hi) for d in problem.dims]))
     monkeypatch.setattr(Fraction, "__new__", refuse)
     found = [problem for problem, box in boxes if witness_for_box(problem, box) is not None]
     monkeypatch.undo()

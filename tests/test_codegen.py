@@ -16,6 +16,7 @@ gradient fallback and `hull_contract` must agree with it bit for bit
 (signed zeros included).
 """
 
+import dis
 import glob
 import math
 import os
@@ -586,21 +587,76 @@ def test_differential_cases_cover_the_bounds_path():
     assert any("def contract_env_1(" in p.evaluator_source for _, p in CHARTS)
 
 
+def _construction(name):
+    return presolve(translate(parse_construction(open(f"benchmarks/{name}.gct").read())))[0]
+
+
+def _same_evals(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g.status == w.status and same_fi(g.ratio, w.ratio) and same_list(g.grads, w.grads)
+        and same_list(g.env, w.env) and g.sign_active == w.sign_active
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["medians", "right_triangle_perimeter_vs_circumradius"])
+def test_stages_give_the_same_boxevals_in_any_order(name):
+    """A chart compiles the natural form at its first box and the centered
+    form at its first box that is not pruned. Boxes evaluated pruned first
+    and then unpruned give what they give unpruned first."""
+    t = _construction(name)
+    boxes = list(seeded_boxes(compile_charts(t)[0], random.Random(f"stages:{name}"), 20))
+    prune = {"none": None, "all": lambda r: True}
+
+    def evals(order):
+        # per fresh chart, the boxes' BoxEvals under each key, in this order
+        return [{key: [evaluate_box(p, box, prune[key]) for box in boxes] for key in order}
+                for p in compile_charts(t)]
+
+    want = evals(("none", "all"))
+    assert any(ev.grads is not None for chart in want for ev in chart["none"])
+    for got, w in zip(evals(("all", "none")), want, strict=True):
+        assert _same_evals(got["none"], w["none"]) and _same_evals(got["all"], w["all"])
+
+
+def _helper_globals(parts) -> set[str]:
+    """The globals the functions of a stage's source read."""
+    names, todo = set(), [compile(part, "<stage>", "exec") for part in parts]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if hasattr(c, "co_code")]
+        if code.co_name != "<module>":
+            names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    return names
+
+
+@pytest.mark.parametrize("label,problem", CHARTS, ids=[c[0] for c in CHARTS])
+def test_stages_read_no_global_but_the_helpers(label, problem):
+    """Stage 2 reads stage 1's values through the tuple stage 1 returns: a
+    value missing from it would be read as a global that does not exist."""
+    generator = boxcode._Generator(problem)
+    for k in range(3):
+        assert _helper_globals(generator.stage(k)) <= set(boxcode._HELPERS) | {"SD"}, (label, k)
+
+
 def test_problems_built_on_many_threads_at_once():
     # problems built and evaluated on more threads than cores, with frequent
-    # switches, each give the results of a single-threaded run
-    t, _ = presolve(translate(parse_construction(open("benchmarks/medians.gct").read())))
+    # switches, and charts shared by every thread before any of them has
+    # compiled a box evaluator, each give the results of a single-threaded run
+    t = _construction("medians")
     boxes = list(seeded_boxes(compile_charts(t)[0], random.Random("threads"), 10))
 
-    def run():
-        return [evaluate_box(p, box) for p in compile_charts(t) for box in boxes]
+    def run(charts):
+        return [evaluate_box(p, box) for p in charts for box in boxes]
 
-    want = run()
+    want = run(compile_charts(t))
+    shared = compile_charts(t)
+    start = threading.Barrier(6)
     results, errors = {}, []
 
     def worker(k):
         try:
-            results[k] = run()
+            start.wait(timeout=60)
+            results[k] = (run(shared), run(compile_charts(t)))
         except Exception as e:      # reported after the join
             errors.append(e)
 
@@ -618,13 +674,11 @@ def test_problems_built_on_many_threads_at_once():
     assert not errors, errors
     assert sorted(results) == list(range(6))
     for got in results.values():
-        for g, w in zip(got, want, strict=True):
-            assert g.status == w.status and same_fi(g.ratio, w.ratio)
-            assert same_list(g.grads, w.grads)
+        assert _same_evals(got[0], want) and _same_evals(got[1], want)
 
 
 def test_compiles_where_the_c_library_has_no_malloc_trim(monkeypatch):
-    t, _ = presolve(translate(parse_construction(open("benchmarks/medians.gct").read())))
+    t = _construction("medians")
     boxes = list(seeded_boxes(compile_charts(t)[0], random.Random("no trim"), 5))
     want = [evaluate_box(p, box) for p in compile_charts(t) for box in boxes]
     monkeypatch.setattr(boxcode, "_malloc_trim", lambda: None)
